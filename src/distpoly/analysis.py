@@ -2,8 +2,9 @@
 
 analyze_graph runs the full pipeline (distances, characteristic
 polynomial, coefficient sequences, predicates, bounds) on one connected
-graph. verify_range streams every free tree of orders 3..n_max through
-that pipeline, optionally on a worker pool, and folds the results into an
+graph; it is the only place that picks the tree kernel over Berkowitz.
+verify_range streams every free tree of orders 3..n_max through that
+pipeline, optionally on a worker pool, and folds the results into an
 aggregate whose content is independent of the worker count.
 
 JSON conventions: coefficient-sized integers are serialized as decimal
@@ -105,7 +106,7 @@ def analyze_graph(g: graphs.Graph, tree_id: int | None = None) -> TreeReport:
     p3 = graphs.count_p3(g)
     tree = g.edge_count == g.n - 1  # connectivity established by distance_matrix
 
-    poly = polynomials.charpoly(dm)
+    poly = polynomials.tree_charpoly(g) if tree else polynomials.charpoly(dm)
     deltas = polynomials.delta_seq(poly)
     norm = polynomials.normalized_seq(deltas)
     peak = sequences.peak_interval(norm.d)

@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import analysis, graphs, polynomials, treegen
+from . import analysis, graphs, treegen
 
 _BUILTINS = {"heawood": graphs.heawood}
 
@@ -28,18 +28,12 @@ def _load_graph(path: str, fmt: str) -> graphs.Graph:
 
 
 def _cmd_charpoly(args) -> int:
-    g = _load_graph(args.input, args.format)
-    if g.n < 3:
-        raise ValueError("analysis requires order at least 3")
-    dm = graphs.distance_matrix(g)
-    poly = polynomials.charpoly(dm)
-    deltas = polynomials.delta_seq(poly)
-    norm = polynomials.normalized_seq(deltas)
+    report = analysis.analyze_graph(_load_graph(args.input, args.format))
     payload = {
-        "n": g.n,
-        "coefficients": [str(c) for c in poly.coeffs],
-        "delta": [str(x) for x in deltas.delta],
-        "d": [analysis.exact_to_str(x) for x in norm.d],
+        "n": report.n,
+        "coefficients": [str(c) for c in report.coefficients],
+        "delta": [str(x) for x in report.delta],
+        "d": [analysis.exact_to_str(x) for x in report.d],
     }
     print(json.dumps(payload, indent=2))
     return 0

@@ -5,9 +5,11 @@ order-20 sweep) is opt-in via DISTPOLY_FULL_SWEEP=1 since it needs a
 couple of core-hours.
 """
 
+import json
 import os
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +52,7 @@ FREE_TREE_COUNTS = {
 }
 
 JOBS = min(8, os.cpu_count() or 1)
+GOLDEN_DIR = Path(__file__).resolve().parent.parent / "goldens"
 
 
 def test_criterion_1_heawood_polynomial_exact():
@@ -86,6 +89,12 @@ def test_criterion_3_desk_scale_sweep():
         assert report.orders[n].expected == expected
     assert report.total_trees == sum(FREE_TREE_COUNTS.values())
     assert elapsed <= 120.0
+
+    # everything outside `run` is pinned byte for byte by the checked-in golden
+    payload = analysis.aggregate_report_to_json(report)
+    del payload["run"]
+    golden = (GOLDEN_DIR / "aggregate_14.json").read_text()
+    assert json.dumps(payload, indent=2) + "\n" == golden
 
     # cross-check orders 3..9 against the Prufer oracle: identical
     # isomorphism classes, and the labeled multiplicities sum to n^(n-2)
@@ -164,11 +173,16 @@ def test_criterion_7_oracle_equivalence_500_random_trees():
         )
         dm = graphs.distance_matrix(g)
         poly = polynomials.charpoly(dm)
+        kernel = polynomials.tree_charpoly(g)
         for t in (0, 1, 2, 3):
             assert poly(t) == polynomials.det_at(dm, t)
+            assert kernel(t) == polynomials.det_at(dm, t)
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
-    print(f"ACCEPTANCE 7 PASS: 500 random trees agree with the determinant oracle ({elapsed:.1f}s)")
+    print(
+        "ACCEPTANCE 7 PASS: 500 random trees, Berkowitz and the tree kernel agree "
+        f"with the determinant oracle ({elapsed:.1f}s)"
+    )
 
 
 def test_criterion_8_scaled_polynomial_through_order_10():

@@ -59,6 +59,43 @@ class TestCharpoly:
         assert p(0) == 2 and p(1) == 0 and p(5) == 12
 
 
+class TestTreeCharpoly:
+    """The tree kernel against Berkowitz, which stays the oracle."""
+
+    def test_all_trees_through_order_14(self):
+        for n in range(3, 15):
+            for tree in treegen.enumerate_trees(n):
+                g = treegen.to_graph(tree)
+                expected = polynomials.charpoly(graphs.distance_matrix(g))
+                assert polynomials.tree_charpoly(g) == expected
+
+    def test_random_prufer_trees_orders_18_to_24(self):
+        rng = random.Random(61)
+        for _ in range(30):
+            g = tree_graph(rng, rng.randint(18, 24))
+            expected = polynomials.charpoly(graphs.distance_matrix(g))
+            assert polynomials.tree_charpoly(g) == expected
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            graphs.heawood(),
+            graphs.graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+            # n - 1 edges but a cycle plus an isolated vertex
+            graphs.graph_from_edges(4, [(0, 1), (1, 2), (2, 0)]),
+            graphs.graph_from_edges(4, [(0, 1), (2, 3)]),
+        ],
+    )
+    def test_non_tree_rejected(self, graph):
+        with pytest.raises(ValueError, match="tree"):
+            polynomials.tree_charpoly(graph)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_small_order_rejected(self, n):
+        with pytest.raises(ValueError, match="order at least 3"):
+            polynomials.tree_charpoly(graphs.path_graph(n))
+
+
 class TestDetAt:
     def test_p3_at_zero(self):
         dm = graphs.distance_matrix(graphs.path_graph(3))
@@ -239,6 +276,16 @@ class TestTracePower:
 
     def test_zero_matrix_cube(self):
         assert polynomials.trace_power([[0] * 4] * 4, 3) == 0
+
+    def test_non_symmetric_matches_definition(self):
+        rng = random.Random(59)
+        for n in range(0, 7):
+            m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            sq = [[sum(m[i][l] * m[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
+            assert polynomials.trace_power(m, 2) == sum(sq[i][i] for i in range(n))
+            assert polynomials.trace_power(m, 3) == sum(
+                sq[i][j] * m[j][i] for i in range(n) for j in range(n)
+            )
 
     def test_unsupported_power(self):
         with pytest.raises(ValueError, match="powers 2 and 3"):
