@@ -58,7 +58,7 @@ class TreeReport:
     p3_count: int
     coefficients: tuple[int, ...]
     delta: tuple[int, ...]
-    d: tuple[Fraction, ...]
+    d: tuple[int | Fraction, ...]
     peak: sequences.PeakInterval
     bounds: sequences.BoundSet | None
     checks: dict[str, bool | None]
@@ -114,8 +114,8 @@ def analyze_graph(g: graphs.Graph, tree_id: int | None = None) -> TreeReport:
     n = g.n
     checks: dict[str, bool | None] = {}
     checks["trace_identities"] = (
-        norm.d[-1] == Fraction(polynomials.trace_power(dm, 2), 2)
-        and norm.d[-2] == Fraction(polynomials.trace_power(dm, 3), 6)
+        2 * norm.d[-1] == polynomials.trace_power(dm, 2)
+        and 6 * norm.d[-2] == polynomials.trace_power(dm, 3)
     )
     checks["log_concave"] = sequences.is_log_concave(norm.d).holds
     checks["unimodal"] = sequences.is_unimodal(norm.d).holds
@@ -174,11 +174,11 @@ def exact_to_str(value) -> str:
     return str(int(value))
 
 
-def exact_from_str(text: str) -> Fraction:
+def exact_from_str(text: str) -> int | Fraction:
     if "/" in text:
         num, den = text.split("/")
         return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    return int(text)
 
 
 def tree_report_to_json(report: TreeReport) -> dict:

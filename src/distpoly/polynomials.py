@@ -3,9 +3,13 @@
 Everything here is integer or dyadic-rational arithmetic; no floating
 point. The characteristic polynomial of a general matrix is computed with
 the division-free Berkowitz algorithm; trees take a structural kernel
-built on Graham and Lovasz's closed form for the inverse distance matrix.
+built on Graham and Lovasz's closed form for the inverse distance matrix,
+which packs each polynomial into one Python int (Kronecker substitution)
+so that its products run as C-level big-integer multiplies.
 Fraction-free Bareiss elimination provides a genuinely independent
-determinant for cross-checking both.
+determinant for cross-checking both. Normalized coefficients are ints
+wherever they are integral, which they are for every tree, so only
+non-trees ever build a Fraction.
 """
 
 from __future__ import annotations
@@ -50,10 +54,10 @@ class DeltaSeq:
 
 @dataclass(frozen=True)
 class NormalizedSeq:
-    """Normalized coefficients d_0..d_{n-2} as exact dyadic rationals."""
+    """Normalized coefficients d_0..d_{n-2}: ints, or Fractions where not integral."""
 
     n: int
-    d: tuple[Fraction, ...]
+    d: tuple[int | Fraction, ...]
 
 
 def charpoly(matrix) -> CharPoly:
@@ -74,34 +78,23 @@ def charpoly(matrix) -> CharPoly:
             row = M[k][k + 1:]
             block = [r[k + 1:] for r in M[k + 1:]]
             vec = [M[i][k] for i in range(k + 1, n)]
-            toeplitz.append(-sum(x * y for x, y in zip(row, vec)))
+            toeplitz.append(-sum(map(mul, row, vec)))
             for _ in range(size - 1):
-                vec = [sum(x * y for x, y in zip(brow, vec)) for brow in block]
-                toeplitz.append(-sum(x * y for x, y in zip(row, vec)))
-        # multiply the previous coefficient vector by the Toeplitz column
+                vec = [sum(map(mul, brow, vec)) for brow in block]
+                toeplitz.append(-sum(map(mul, row, vec)))
+        # multiply the previous coefficient vector by the Toeplitz column:
+        # entry i is sum over j of toeplitz[i - j] * coeffs[j]
         width = len(toeplitz)
         length = len(coeffs)
-        coeffs = [
-            sum(
-                toeplitz[i - j] * coeffs[j]
-                for j in range(max(0, i - width + 1), min(i, length - 1) + 1)
-            )
-            for i in range(length + 1)
-        ]
+        rev = toeplitz[::-1]
+        product = []
+        for i in range(length + 1):
+            lo = max(0, i - width + 1)
+            hi = min(i, length - 1)
+            product.append(sum(map(mul, rev[width - 1 - i + lo:], coeffs[lo:hi + 1])))
+        coeffs = product
     coeffs.reverse()
     return CharPoly(n, tuple(coeffs))
-
-
-def _poly_sum(size: int, *terms) -> list[int]:
-    """Ascending coefficients of sum(k * x^s * a * b) over terms (k, s, a, b)."""
-    out = [0] * size
-    for k, s, a, b in terms:
-        for i, ai in enumerate(a, s):
-            if ai:
-                ai *= k
-                for j, bj in enumerate(b, i):
-                    out[j] += ai * bj
-    return out
 
 
 def tree_charpoly(g: Graph) -> CharPoly:
@@ -116,8 +109,25 @@ def tree_charpoly(g: Graph) -> CharPoly:
     S (tau-weighted open paths ending at v), W (closed paths) and V
     (closed paths avoiding v, with v deleted). Absorbing a child is
     division-free, so the cost is O(n^2) coefficient operations against
-    the ~n^4/4 of Berkowitz. Raises ValueError unless g is a tree of
-    order at least 3.
+    the ~n^4/4 of Berkowitz.
+
+    Each polynomial is held as one int, its value at X = 2^w (Kronecker
+    substitution), so a product of polynomials is one big-int multiply
+    and x^j f is f << j*w. Evaluation at X is a ring map, so the pass is
+    exact whatever the sizes of the intermediate coefficients; only the
+    numerator N = (n-1) P - x Q is decoded, into balanced base-X digits,
+    and that is exact when every coefficient of N lies below 2^(w-1) in
+    absolute value. It does, for w = bitlen(n^2 4^n) + 1:
+    P(x) = prod_i (2 + x mu_i) over the Laplacian eigenvalues mu_i >= 0,
+    so its coefficients are nonnegative and sum to prod_i (2 + mu_i),
+    at most 4^n by AM-GM since sum_i mu_i = 2(n-1). With unit
+    eigenvectors u_i, Q(x) = sum_i (tau.u_i)^2 prod_{j != i} (2 + x mu_j)
+    also has nonnegative coefficients, summing to at most
+    |tau|^2 4^n / 2, and |tau|^2 <= n^2. Every coefficient of N is a
+    difference of two nonnegative terms, so below n^2 4^n in absolute
+    value.
+
+    Raises ValueError unless g is a tree of order at least 3.
     """
     n = g.n
     if n < 3:
@@ -128,41 +138,43 @@ def tree_charpoly(g: Graph) -> CharPoly:
     parent[0] = 0
     order = [0]
     for u in order:
-        for w in adj[u]:
-            if parent[w] < 0:
-                parent[w] = u
-                order.append(w)
+        for child in adj[u]:
+            if parent[child] < 0:
+                parent[child] = u
+                order.append(child)
     if len(order) != n or g.edge_count != n - 1:
         raise ValueError("tree kernel needs a tree")
-    A = [[2, len(nbrs)] for nbrs in adj]
-    B = [[1]] * n
-    S = [[2 - len(nbrs)] for nbrs in adj]
-    W = [[(2 - len(nbrs)) ** 2] for nbrs in adj]
-    V: list[list[int]] = [[]] * n
+    w = (n * n << 2 * n).bit_length() + 1
+    w2 = 2 * w
+    A = [2 + (len(nbrs) << w) for nbrs in adj]
+    B = [1] * n
+    S = [2 - len(nbrs) for nbrs in adj]
+    W = [t * t for t in S]
+    V = [0] * n
     for c in reversed(order[1:]):
         p = parent[c]
-        a, b, s, w, v = A[p], B[p], S[p], W[p], V[p]
+        a, b, s, v = A[p], B[p], S[p], V[p]
         ac, bc, sc, wc, vc = A[c], B[c], S[c], W[c], V[c]
-        size = len(a) + len(ac) - 2
-        A[p] = _poly_sum(size + 1, (1, 0, a, ac), (-1, 2, b, bc))
-        B[p] = _poly_sum(size, (1, 0, b, ac))
-        S[p] = _poly_sum(size, (1, 0, s, ac), (1, 1, b, sc))
-        W[p] = _poly_sum(
-            size,
-            (1, 0, w, ac),
-            (-1, 2, v, bc),
-            (1, 0, a, wc),
-            (-1, 2, b, vc),
-            (2, 1, s, sc),
-        )
-        V[p] = _poly_sum(size - 1, (1, 0, v, ac), (1, 0, b, wc))
-    P, Q = A[0], W[0]
+        A[p] = a * ac - ((b * bc) << w2)
+        B[p] = b * ac
+        S[p] = s * ac + ((b * sc) << w)
+        W[p] = W[p] * ac + a * wc + ((s * sc) << (w + 1)) - ((v * bc + b * vc) << w2)
+        V[p] = v * ac + b * wc
+    num = (n - 1) * A[0] - (W[0] << w)
+    mask = (1 << w) - 1
+    half = 1 << (w - 1)
     coeffs = []
     for k in range(n + 1):
-        num = (n - 1) * P[k] - (Q[k - 1] if k else 0)
-        if num % 4:
+        digit = num & mask
+        num >>= w
+        if digit >= half:
+            digit -= mask + 1
+            num += 1
+        if digit % 4:
             raise RuntimeError(f"internal error: tree kernel coefficient {k} not divisible by 4")
-        coeffs.append(-num // 4)
+        coeffs.append(-digit // 4)
+    if num:
+        raise RuntimeError("internal error: tree kernel numerator exceeds degree n")
     return CharPoly(n, tuple(coeffs))
 
 
@@ -208,16 +220,19 @@ def delta_seq(p: CharPoly) -> DeltaSeq:
 def normalized_seq(ds: DeltaSeq) -> NormalizedSeq:
     """Normalized coefficients d_k = 2^k |delta_k| / 2^(n-2) for k <= n-2.
 
-    Exact dyadic rationals; the values are integers whenever the input
-    comes from a tree.
+    Each value is an int when the division is exact, which it always is
+    for a tree, and a Fraction (an exact dyadic rational) otherwise.
     """
     n = ds.n
     if n < 3:
         raise ValueError("normalized coefficients need order at least 3")
-    scale = 1 << (n - 2)
-    return NormalizedSeq(
-        n, tuple(Fraction(abs(ds.delta[k]) << k, scale) for k in range(n - 1))
-    )
+    shift = n - 2
+    low = (1 << shift) - 1
+    d = []
+    for k in range(n - 1):
+        value = abs(ds.delta[k]) << k
+        d.append(value >> shift if not value & low else Fraction(value, low + 1))
+    return NormalizedSeq(n, tuple(d))
 
 
 def scaled_poly(dm: DistanceMatrix) -> tuple[Fraction, ...]:
@@ -238,7 +253,12 @@ def scaled_poly(dm: DistanceMatrix) -> tuple[Fraction, ...]:
 
 
 def trace_power(matrix, k: int) -> int:
-    """Exact tr(M^2) or tr(M^3) without forming the full matrix power."""
+    """Exact tr(M^2) or tr(M^3) without forming the full matrix power.
+
+    For symmetric M, tr(M^3) = sum over i <= j of (2 - [i = j]) M_ij
+    (row_i . row_j), skipping zero entries: half the dot products of the
+    general path, which any square input takes.
+    """
     if k not in (2, 3):
         raise ValueError("only powers 2 and 3 are supported")
     rows = _rows(matrix)
@@ -246,6 +266,13 @@ def trace_power(matrix, k: int) -> int:
     if k == 2:
         return sum(sum(map(mul, row, col)) for row, col in zip(rows, cols))
     total = 0
+    if rows == [list(col) for col in cols]:
+        off = 0
+        for i, row in enumerate(rows):
+            if row[i]:
+                total += row[i] * sum(map(mul, row, row))
+            off += sum([m * sum(map(mul, row, r)) for m, r in zip(row[i + 1:], rows[i + 1:]) if m])
+        return total + 2 * off
     for row, col in zip(rows, cols):
         # row i of M^2 dotted with column i of M
         total += sum(map(mul, [sum(map(mul, row, c)) for c in cols], col))

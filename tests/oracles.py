@@ -193,3 +193,63 @@ def random_connected_adj(rng, n: int, extra_edges: int = 0) -> list[list[int]]:
         adj[u].append(v)
         adj[v].append(u)
     return adj
+
+
+def _poly_sum(size: int, *terms) -> list[int]:
+    """Ascending coefficients of sum(k * x^s * a * b) over terms (k, s, a, b)."""
+    out = [0] * size
+    for k, s, a, b in terms:
+        for i, ai in enumerate(a, s):
+            if ai:
+                ai *= k
+                for j, bj in enumerate(b, i):
+                    out[j] += ai * bj
+    return out
+
+
+def tree_charpoly_lists(adj) -> tuple[int, ...]:
+    """Ascending coefficients of det(xI - D) for a tree on n >= 3 vertices.
+
+    The Graham-Lovasz leaf-to-root recursion with every polynomial held as
+    a coefficient list: the reference for the package's packed-integer
+    kernel, which runs the same recursion on values at a power of two.
+    """
+    n = len(adj)
+    parent = [-1] * n
+    parent[0] = 0
+    order = [0]
+    for u in order:
+        for w in adj[u]:
+            if parent[w] < 0:
+                parent[w] = u
+                order.append(w)
+    assert len(order) == n and sum(map(len, adj)) == 2 * (n - 1)
+    A = [[2, len(nbrs)] for nbrs in adj]
+    B = [[1]] * n
+    S = [[2 - len(nbrs)] for nbrs in adj]
+    W = [[(2 - len(nbrs)) ** 2] for nbrs in adj]
+    V: list[list[int]] = [[]] * n
+    for c in reversed(order[1:]):
+        p = parent[c]
+        a, b, s, w, v = A[p], B[p], S[p], W[p], V[p]
+        ac, bc, sc, wc, vc = A[c], B[c], S[c], W[c], V[c]
+        size = len(a) + len(ac) - 2
+        A[p] = _poly_sum(size + 1, (1, 0, a, ac), (-1, 2, b, bc))
+        B[p] = _poly_sum(size, (1, 0, b, ac))
+        S[p] = _poly_sum(size, (1, 0, s, ac), (1, 1, b, sc))
+        W[p] = _poly_sum(
+            size,
+            (1, 0, w, ac),
+            (-1, 2, v, bc),
+            (1, 0, a, wc),
+            (-1, 2, b, vc),
+            (2, 1, s, sc),
+        )
+        V[p] = _poly_sum(size - 1, (1, 0, v, ac), (1, 0, b, wc))
+    P, Q = A[0], W[0]
+    coeffs = []
+    for k in range(n + 1):
+        num = (n - 1) * P[k] - (Q[k - 1] if k else 0)
+        assert num % 4 == 0
+        coeffs.append(-num // 4)
+    return tuple(coeffs)

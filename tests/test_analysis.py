@@ -65,6 +65,18 @@ class TestRoundTrip:
         text = json.dumps(analysis.tree_report_to_json(report))
         assert analysis.tree_report_from_json(json.loads(text)) == report
 
+    def test_exact_from_str_types(self):
+        from fractions import Fraction
+
+        assert type(analysis.exact_from_str("12")) is int
+        assert type(analysis.exact_from_str("-3/4")) is Fraction
+        assert analysis.exact_from_str("-3/4") == Fraction(-3, 4)
+
+    def test_round_trip_keeps_d_types(self):
+        report = analysis.analyze_graph(graphs.star_graph(7))
+        back = analysis.tree_report_from_json(analysis.tree_report_to_json(report))
+        assert [type(x) for x in back.d] == [type(x) for x in report.d] == [int] * 6
+
     def test_fractional_d_serialization(self):
         import json
         from fractions import Fraction

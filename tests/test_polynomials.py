@@ -76,6 +76,21 @@ class TestTreeCharpoly:
             expected = polynomials.charpoly(graphs.distance_matrix(g))
             assert polynomials.tree_charpoly(g) == expected
 
+    @pytest.mark.parametrize("n", [25, 40, 60, 100, 200])
+    def test_packing_matches_list_oracle(self, n):
+        # the path has the largest coefficients: at n = 200 they need 384
+        # of the slot's 417 bits
+        broom = [(i, i + 1) for i in range(n // 2)] + [(n // 2, v) for v in range(n // 2 + 1, n)]
+        shapes = [
+            graphs.path_graph(n),
+            graphs.star_graph(n),
+            graphs.graph_from_edges(n, broom),
+            tree_graph(random.Random(n), n),
+            tree_graph(random.Random(n + 1), n),
+        ]
+        for g in shapes:
+            assert polynomials.tree_charpoly(g).coeffs == oracles.tree_charpoly_lists(g.adj)
+
     @pytest.mark.parametrize(
         "graph",
         [
@@ -190,6 +205,18 @@ class TestNormalizedSeq:
         d = polynomials.normalized_seq(polynomials.delta_seq(p)).d
         assert d == HEAWOOD_D
 
+    def test_trees_give_ints(self):
+        for n in range(3, 11):
+            for tree in treegen.enumerate_trees(n):
+                ds = polynomials.delta_seq(polynomials.tree_charpoly(treegen.to_graph(tree)))
+                assert all(type(x) is int for x in polynomials.normalized_seq(ds).d)
+
+    def test_fraction_only_where_not_integral(self):
+        k4 = [[int(i != j) for j in range(4)] for i in range(4)]
+        d = polynomials.normalized_seq(polynomials.delta_seq(polynomials.charpoly(k4))).d
+        assert d == (Fraction(3, 4), 4, 6)
+        assert [type(x) for x in d] == [Fraction, int, int]
+
     def test_last_equals_abs_delta(self):
         rng = random.Random(29)
         for _ in range(20):
@@ -286,6 +313,20 @@ class TestTracePower:
             assert polynomials.trace_power(m, 3) == sum(
                 sq[i][j] * m[j][i] for i in range(n) for j in range(n)
             )
+
+    def test_symmetric_matches_definition(self):
+        rng = random.Random(67)
+        for n in range(0, 9):
+            for _ in range(5):
+                m = [[0] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i, n):
+                        # about half zeros, to exercise the skipped entries
+                        m[i][j] = m[j][i] = rng.choice((0, rng.randint(-9, 9)))
+                sq = [[sum(m[i][l] * m[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
+                assert polynomials.trace_power(m, 3) == sum(
+                    sq[i][j] * m[j][i] for i in range(n) for j in range(n)
+                )
 
     def test_unsupported_power(self):
         with pytest.raises(ValueError, match="powers 2 and 3"):
