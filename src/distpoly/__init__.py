@@ -20,13 +20,11 @@ from .graphs import (
     GraphParseError,
     GraphStructureError,
     count_p3,
-    diameter,
     distance_matrix,
     from_edge_list,
     from_graph6,
     graph_from_edges,
     heawood,
-    is_connected,
     is_tree,
     path_graph,
     star_graph,
@@ -38,9 +36,7 @@ from .polynomials import (
     NormalizedSeq,
     charpoly,
     delta_seq,
-    det_at,
     normalized_seq,
-    scaled_poly,
     trace_power,
     tree_charpoly,
 )
@@ -67,55 +63,3 @@ from .treegen import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AggregateReport",
-    "BoundSet",
-    "CanonicalTree",
-    "CharPoly",
-    "DeltaSeq",
-    "DisconnectedGraphError",
-    "DistanceMatrix",
-    "Graph",
-    "GraphParseError",
-    "GraphStructureError",
-    "NormalizedSeq",
-    "PeakInterval",
-    "SeqCheck",
-    "SweepInterrupted",
-    "TreeReport",
-    "analyze_graph",
-    "bound_set",
-    "charpoly",
-    "conjecture_range",
-    "count_p3",
-    "count_trees",
-    "delta_seq",
-    "det_at",
-    "diameter",
-    "distance_matrix",
-    "enumerate_trees",
-    "from_edge_list",
-    "from_graph6",
-    "graph_from_edges",
-    "heawood",
-    "is_connected",
-    "is_log_concave",
-    "is_tree",
-    "is_unimodal",
-    "lower_bound_diam",
-    "newton_check",
-    "normalized_seq",
-    "path_graph",
-    "peak_interval",
-    "ratio_bound_check",
-    "scaled_poly",
-    "star_graph",
-    "to_edge_list",
-    "to_graph",
-    "trace_power",
-    "tree_charpoly",
-    "tree_count_recurrence",
-    "upper_bound_rho",
-    "verify_range",
-]

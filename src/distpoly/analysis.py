@@ -67,14 +67,24 @@ class TreeReport:
 
 @dataclass
 class OrderStats:
-    """Per-order slice of an aggregate report."""
+    """Per-order slice of an aggregate report, or of one sweep chunk."""
 
-    expected: int
+    expected: int = 0
     trees: int = 0
     peak_histogram: Counter = field(default_factory=Counter)  # keyed by first peak index
     plateaus: int = 0
     slack_min: dict[str, int] = field(default_factory=dict)
     slack_max: dict[str, int] = field(default_factory=dict)
+
+    def merge(self, other: OrderStats) -> None:
+        """Fold in another chunk's stats; commutative, so order-free."""
+        self.trees += other.trees
+        self.peak_histogram.update(other.peak_histogram)
+        self.plateaus += other.plateaus
+        for name, value in other.slack_min.items():
+            self.slack_min[name] = min(value, self.slack_min.get(name, value))
+        for name, value in other.slack_max.items():
+            self.slack_max[name] = max(value, self.slack_max.get(name, value))
 
 
 @dataclass
@@ -174,13 +184,6 @@ def exact_to_str(value) -> str:
     return str(int(value))
 
 
-def exact_from_str(text: str) -> int | Fraction:
-    if "/" in text:
-        num, den = text.split("/")
-        return Fraction(int(num), int(den))
-    return int(text)
-
-
 def tree_report_to_json(report: TreeReport) -> dict:
     return {
         "type": "tree_report",
@@ -204,24 +207,6 @@ def tree_report_to_json(report: TreeReport) -> dict:
         "checks": dict(report.checks),
         "failed": list(report.failed),
     }
-
-
-def tree_report_from_json(data: dict) -> TreeReport:
-    bounds = data["bounds"]
-    return TreeReport(
-        n=data["n"],
-        tree_id=data["id"],
-        is_tree=data["is_tree"],
-        diameter=data["diameter"],
-        p3_count=data["p3_count"],
-        coefficients=tuple(int(c) for c in data["coefficients"]),
-        delta=tuple(int(x) for x in data["delta"]),
-        d=tuple(exact_from_str(x) for x in data["d"]),
-        peak=sequences.PeakInterval(data["peak"]["first"], data["peak"]["last"]),
-        bounds=None if bounds is None else sequences.BoundSet(**bounds),
-        checks=dict(data["checks"]),
-        failed=tuple(data["failed"]),
-    )
 
 
 def aggregate_report_to_json(report: AggregateReport) -> dict:
@@ -250,31 +235,6 @@ def aggregate_report_to_json(report: AggregateReport) -> dict:
     }
 
 
-def aggregate_report_from_json(data: dict) -> AggregateReport:
-    orders = {}
-    for key, entry in data["orders"].items():
-        orders[int(key)] = OrderStats(
-            expected=entry["expected"],
-            trees=entry["trees"],
-            peak_histogram=Counter(
-                {int(k): v for k, v in entry["peak_first_histogram"].items()}
-            ),
-            plateaus=entry["plateaus"],
-            slack_min=dict(entry["slack_min"]),
-            slack_max=dict(entry["slack_max"]),
-        )
-    return AggregateReport(
-        max_order=data["max_order"],
-        orders=orders,
-        total_trees=data["total_trees"],
-        total_violations=data["total_violations"],
-        plateau_anomalies=data["plateau_anomalies"],
-        violations=list(data["violations"]),
-        jobs=data["run"]["jobs"],
-        duration_seconds=data["run"]["duration_seconds"],
-    )
-
-
 # --------------------------------------------------------------------------
 # exhaustive sweep
 
@@ -283,45 +243,37 @@ _CHUNK_SIZE = 256
 _SLACKS = ("thm_lo", "thm_hi", "conj_lo", "conj_hi")
 
 
-def _sweep_chunk(args) -> dict:
+def _sweep_chunk(args) -> tuple[OrderStats, list[dict], list[dict]]:
+    """Stats, violations and (if asked) per-tree reports of one chunk."""
     n, start_id, parents, want_per_tree = args
-    hist: Counter = Counter()
+    firsts: list[int] = []
     plateaus = 0
-    slack_min: dict[str, int] = {}
-    slack_max: dict[str, int] = {}
+    slacks: list[tuple[int, ...]] = []
     violations: list[dict] = []
     per_tree: list[dict] = []
     for offset, parent in enumerate(parents):
         g = treegen.to_graph(treegen.CanonicalTree(n, parent))
         report = analyze_graph(g, tree_id=start_id + offset)
-        hist[report.peak.first] += 1
-        if report.peak.first != report.peak.last:
-            plateaus += 1
+        first, last = report.peak.first, report.peak.last
         b = report.bounds
-        values = (
-            report.peak.first - b.thm_lo,
-            b.thm_hi - report.peak.last,
-            report.peak.first - b.conj_lo,
-            b.conj_hi - report.peak.last,
-        )
-        for name, value in zip(_SLACKS, values):
-            if name not in slack_min or value < slack_min[name]:
-                slack_min[name] = value
-            if name not in slack_max or value > slack_max[name]:
-                slack_max[name] = value
-        if report.failed:
-            violations.append(tree_report_to_json(report))
-        if want_per_tree:
-            per_tree.append(tree_report_to_json(report))
-    return {
-        "count": len(parents),
-        "hist": hist,
-        "plateaus": plateaus,
-        "slack_min": slack_min,
-        "slack_max": slack_max,
-        "violations": violations,
-        "per_tree": per_tree,
-    }
+        firsts.append(first)
+        plateaus += first != last
+        slacks.append((first - b.thm_lo, b.thm_hi - last, first - b.conj_lo, b.conj_hi - last))
+        if report.failed or want_per_tree:
+            item = tree_report_to_json(report)
+            if report.failed:
+                violations.append(item)
+            if want_per_tree:
+                per_tree.append(item)
+    columns = list(zip(*slacks))
+    stats = OrderStats(
+        trees=len(parents),
+        peak_histogram=Counter(firsts),
+        plateaus=plateaus,
+        slack_min=dict(zip(_SLACKS, map(min, columns))),
+        slack_max=dict(zip(_SLACKS, map(max, columns))),
+    )
+    return stats, violations, per_tree
 
 
 def _chunked_args(n: int, want_per_tree: bool):
@@ -337,18 +289,6 @@ def _chunked_args(n: int, want_per_tree: bool):
             batch = []
     if batch:
         yield (n, start, batch, want_per_tree)
-
-
-def _merge(stats: OrderStats, part: dict) -> None:
-    stats.trees += part["count"]
-    stats.peak_histogram.update(part["hist"])
-    stats.plateaus += part["plateaus"]
-    for name, value in part["slack_min"].items():
-        if name not in stats.slack_min or value < stats.slack_min[name]:
-            stats.slack_min[name] = value
-    for name, value in part["slack_max"].items():
-        if name not in stats.slack_max or value > stats.slack_max[name]:
-            stats.slack_max[name] = value
 
 
 def verify_range(
@@ -379,12 +319,11 @@ def verify_range(
             results = (
                 pool.imap(_sweep_chunk, chunks) if pool else map(_sweep_chunk, chunks)
             )
-            for part in results:
-                _merge(stats, part)
-                violations.extend(part["violations"])
-                if want_per_tree:
-                    for item in part["per_tree"]:
-                        per_tree_sink(item)
+            for part, part_violations, items in results:
+                stats.merge(part)
+                violations.extend(part_violations)
+                for item in items:
+                    per_tree_sink(item)
             if stats.trees != stats.expected:
                 raise RuntimeError(
                     f"enumeration mismatch at order {n}: generated {stats.trees} "

@@ -28,13 +28,10 @@ def _load_graph(path: str, fmt: str) -> graphs.Graph:
 
 
 def _cmd_charpoly(args) -> int:
-    report = analysis.analyze_graph(_load_graph(args.input, args.format))
-    payload = {
-        "n": report.n,
-        "coefficients": [str(c) for c in report.coefficients],
-        "delta": [str(x) for x in report.delta],
-        "d": [analysis.exact_to_str(x) for x in report.d],
-    }
+    data = analysis.tree_report_to_json(
+        analysis.analyze_graph(_load_graph(args.input, args.format))
+    )
+    payload = {key: data[key] for key in ("n", "coefficients", "delta", "d")}
     print(json.dumps(payload, indent=2))
     return 0
 
@@ -46,10 +43,8 @@ def _cmd_analyze(args) -> int:
                 f"unknown builtin {args.builtin!r}; available: {', '.join(sorted(_BUILTINS))}"
             )
         g = _BUILTINS[args.builtin]()
-    elif args.input is not None:
-        g = _load_graph(args.input, args.format)
     else:
-        raise ValueError("analyze needs --input FILE or --builtin NAME")
+        g = _load_graph(args.input, args.format)
     report = analysis.analyze_graph(g)
     print(json.dumps(analysis.tree_report_to_json(report), indent=2))
     return 1 if report.failed else 0
@@ -109,9 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_charpoly)
 
     p = sub.add_parser("analyze", help="full analysis report for one graph")
-    p.add_argument("--input", help="graph file")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", help="graph file")
+    source.add_argument("--builtin", help="named built-in graph (heawood)")
     p.add_argument("--format", choices=("edgelist", "graph6"), default="edgelist")
-    p.add_argument("--builtin", help="named built-in graph (heawood)")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("enumerate", help="stream all free trees of one order")

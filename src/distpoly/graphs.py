@@ -36,9 +36,6 @@ class Graph:
     n: int
     adj: tuple[tuple[int, ...], ...]
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     @property
     def edge_count(self) -> int:
         return sum(len(nbrs) for nbrs in self.adj) // 2
@@ -226,19 +223,10 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
     return DistanceMatrix(g.n, tuple(rows))
 
 
-def diameter(g: Graph) -> int:
-    """Largest pairwise distance; errors on disconnected input."""
-    return distance_matrix(g).max_entry()
-
-
 def count_p3(g: Graph) -> int:
     """Number of paths on three vertices: sum over v of C(deg(v), 2)."""
     return sum(comb(len(nbrs), 2) for nbrs in g.adj)
 
 
-def is_connected(g: Graph) -> bool:
-    return all(d >= 0 for d in _bfs_distances(g, 0))
-
-
 def is_tree(g: Graph) -> bool:
-    return g.edge_count == g.n - 1 and is_connected(g)
+    return g.edge_count == g.n - 1 and min(_bfs_distances(g, 0)) >= 0

@@ -21,10 +21,10 @@ from operator import mul
 from .graphs import DistanceMatrix, Graph
 
 
-def _rows(matrix) -> list[list[int]]:
+def _rows(matrix) -> list[tuple[int, ...]]:
     if isinstance(matrix, DistanceMatrix):
-        return [list(row) for row in matrix.entries]
-    rows = [list(row) for row in matrix]
+        return list(matrix.entries)
+    rows = [tuple(row) for row in matrix]
     if any(len(row) != len(rows) for row in rows):
         raise ValueError("matrix must be square")
     return rows
@@ -253,27 +253,23 @@ def scaled_poly(dm: DistanceMatrix) -> tuple[Fraction, ...]:
 
 
 def trace_power(matrix, k: int) -> int:
-    """Exact tr(M^2) or tr(M^3) without forming the full matrix power.
+    """Exact tr(M^2) or tr(M^3) of a symmetric M without forming M^k.
 
-    For symmetric M, tr(M^3) = sum over i <= j of (2 - [i = j]) M_ij
-    (row_i . row_j), skipping zero entries: half the dot products of the
-    general path, which any square input takes.
+    tr(M^2) is the sum of row_i . row_i, and tr(M^3) the sum over i <= j
+    of (2 - [i = j]) M_ij (row_i . row_j), skipping zero entries.
+    Raises ValueError unless M is symmetric.
     """
     if k not in (2, 3):
         raise ValueError("only powers 2 and 3 are supported")
     rows = _rows(matrix)
-    cols = list(zip(*rows))
+    if rows != list(zip(*rows)):
+        raise ValueError("trace_power needs a symmetric matrix")
     if k == 2:
-        return sum(sum(map(mul, row, col)) for row, col in zip(rows, cols))
+        return sum(sum(map(mul, row, row)) for row in rows)
     total = 0
-    if rows == [list(col) for col in cols]:
-        off = 0
-        for i, row in enumerate(rows):
-            if row[i]:
-                total += row[i] * sum(map(mul, row, row))
-            off += sum([m * sum(map(mul, row, r)) for m, r in zip(row[i + 1:], rows[i + 1:]) if m])
-        return total + 2 * off
-    for row, col in zip(rows, cols):
-        # row i of M^2 dotted with column i of M
-        total += sum(map(mul, [sum(map(mul, row, c)) for c in cols], col))
-    return total
+    off = 0
+    for i, row in enumerate(rows):
+        if row[i]:
+            total += row[i] * sum(map(mul, row, row))
+        off += sum([m * sum(map(mul, row, r)) for m, r in zip(row[i + 1:], rows[i + 1:]) if m])
+    return total + 2 * off

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from distpoly import cli
+from distpoly import cli, graphs
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "goldens"
 
@@ -61,6 +61,24 @@ class TestCharpolyCommand:
         assert code == 2
         assert "self-loop" in err
 
+    @pytest.mark.parametrize(
+        "name,text",
+        [
+            ("p3", "0 1\n1 2\n"),
+            ("s6", "0 1\n0 2\n0 3\n0 4\n0 5\n"),
+            ("k4", "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"),  # d_0 = 3/4
+            ("heawood", graphs.to_edge_list(graphs.heawood())),
+        ],
+    )
+    def test_payload_matches_analyze(self, capsys, tmp_path, name, text):
+        path = tmp_path / f"{name}.edges"
+        path.write_text(text)
+        _, charpoly_out, _ = run_cli(capsys, "charpoly", "--input", str(path))
+        _, analyze_out, _ = run_cli(capsys, "analyze", "--input", str(path))
+        report = json.loads(analyze_out)
+        keys = ("n", "coefficients", "delta", "d")
+        assert json.loads(charpoly_out) == {key: report[key] for key in keys}
+
 
 class TestAnalyzeCommand:
     def test_builtin_heawood(self, capsys):
@@ -88,6 +106,11 @@ class TestAnalyzeCommand:
     def test_requires_some_input(self, capsys):
         code, _, err = run_cli(capsys, "analyze")
         assert code == 2
+
+    def test_input_and_builtin_exclusive(self, capsys, p3_file):
+        code, out, _ = run_cli(capsys, "analyze", "--input", p3_file, "--builtin", "heawood")
+        assert code == 2
+        assert out == ""
 
     def test_disconnected_input(self, capsys, tmp_path):
         path = tmp_path / "two.edges"
