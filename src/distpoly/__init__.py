@@ -15,7 +15,6 @@ from .analysis import (
 )
 from .graphs import (
     DisconnectedGraphError,
-    DistanceMatrix,
     Graph,
     GraphParseError,
     GraphStructureError,
@@ -32,8 +31,6 @@ from .graphs import (
 )
 from .polynomials import (
     CharPoly,
-    DeltaSeq,
-    NormalizedSeq,
     charpoly,
     delta_seq,
     normalized_seq,
@@ -43,7 +40,6 @@ from .polynomials import (
 from .sequences import (
     BoundSet,
     PeakInterval,
-    SeqCheck,
     bound_set,
     conjecture_range,
     is_log_concave,

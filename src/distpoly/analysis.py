@@ -112,37 +112,37 @@ def analyze_graph(g: graphs.Graph, tree_id: int | None = None) -> TreeReport:
     if g.n < 3:
         raise ValueError("analysis requires order at least 3")
     dm = graphs.distance_matrix(g)
-    diam = dm.max_entry()
+    diam = max(map(max, dm))
     p3 = graphs.count_p3(g)
     tree = g.edge_count == g.n - 1  # connectivity established by distance_matrix
 
     poly = polynomials.tree_charpoly(g) if tree else polynomials.charpoly(dm)
-    deltas = polynomials.delta_seq(poly)
-    norm = polynomials.normalized_seq(deltas)
-    peak = sequences.peak_interval(norm.d)
+    delta = polynomials.delta_seq(poly)
+    d = polynomials.normalized_seq(delta)
+    peak = sequences.peak_interval(d)
 
     n = g.n
     checks: dict[str, bool | None] = {}
     checks["trace_identities"] = (
-        2 * norm.d[-1] == polynomials.trace_power(dm, 2)
-        and 6 * norm.d[-2] == polynomials.trace_power(dm, 3)
+        2 * d[-1] == polynomials.trace_power(dm, 2)
+        and 6 * d[-2] == polynomials.trace_power(dm, 3)
     )
-    checks["log_concave"] = sequences.is_log_concave(norm.d).holds
-    checks["unimodal"] = sequences.is_unimodal(norm.d).holds
-    checks["newton"] = sequences.newton_check(poly.coeffs).holds
+    checks["log_concave"] = sequences.is_log_concave(d)
+    checks["unimodal"] = sequences.is_unimodal(d)
+    checks["newton"] = sequences.newton_check(poly.coeffs)
 
     bounds: sequences.BoundSet | None = None
     if tree:
         sign = 1 if (n - 1) % 2 == 0 else -1
         checks["sign_pattern"] = all(
-            sign * deltas.delta[k] > 0 for k in range(n - 1)
+            sign * delta[k] > 0 for k in range(n - 1)
         )
         checks["divisibility"] = all(
-            deltas.delta[k] % (1 << (n - k - 2)) == 0 for k in range(n - 1)
+            delta[k] % (1 << (n - k - 2)) == 0 for k in range(n - 1)
         )
-        checks["d0_formula"] = norm.d[0] == n - 1
-        checks["d1_formula"] = norm.d[1] == 2 * n * (n - 1) - 2 * p3 - 4
-        checks["ratio_bound"] = sequences.ratio_bound_check(norm, n, diam).holds
+        checks["d0_formula"] = d[0] == n - 1
+        checks["d1_formula"] = d[1] == 2 * n * (n - 1) - 2 * p3 - 4
+        checks["ratio_bound"] = sequences.ratio_bound_check(d, diam)
         bounds = sequences.bound_set(n, p3, diam)
         two_thirds = -(-2 * n // 3)
         checks["theorem_bounds"] = (
@@ -165,8 +165,8 @@ def analyze_graph(g: graphs.Graph, tree_id: int | None = None) -> TreeReport:
         diameter=diam,
         p3_count=p3,
         coefficients=poly.coeffs,
-        delta=deltas.delta,
-        d=norm.d,
+        delta=delta,
+        d=d,
         peak=peak,
         bounds=bounds,
         checks=checks,

@@ -2,13 +2,15 @@
 
 Exit codes: 0 on success (all checks pass or nothing to check), 1 when a
 mathematical check failed on a tree input (the offending object is
-serialized in the output), 2 on usage or input errors.
+serialized in the output), 2 on usage or input errors. A closed output
+pipe ends the command silently, as it does other filters.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from pathlib import Path
 
@@ -42,6 +44,8 @@ def _cmd_analyze(args) -> int:
             raise ValueError(
                 f"unknown builtin {args.builtin!r}; available: {', '.join(sorted(_BUILTINS))}"
             )
+        if args.format is not None:
+            raise ValueError("--format applies to --input only")
         g = _BUILTINS[args.builtin]()
     else:
         g = _load_graph(args.input, args.format)
@@ -107,13 +111,15 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--input", help="graph file")
     source.add_argument("--builtin", help="named built-in graph (heawood)")
-    p.add_argument("--format", choices=("edgelist", "graph6"), default="edgelist")
+    # no default, so that --format given with --builtin can be rejected
+    p.add_argument("--format", choices=("edgelist", "graph6"), help="default: edgelist")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("enumerate", help="stream all free trees of one order")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--count-only", action="store_true")
-    p.add_argument("--emit", choices=("edgelist", "parents"), default="edgelist")
+    output = p.add_mutually_exclusive_group()
+    output.add_argument("--count-only", action="store_true")
+    output.add_argument("--emit", choices=("edgelist", "parents"), help="default: edgelist")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="exhaustive sweep over orders 3..N")
@@ -141,6 +147,9 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
+    if hasattr(signal, "SIGPIPE"):
+        # let a closed stdout (`| head`) end the process instead of raising
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

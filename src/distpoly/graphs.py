@@ -44,17 +44,6 @@ class Graph:
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """All-pairs shortest-path lengths of a connected graph, in edge hops."""
-
-    n: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def max_entry(self) -> int:
-        return max(max(row) for row in self.entries)
-
-
 def graph_from_edges(n: int, edges) -> Graph:
     """Build a Graph on n vertices, rejecting loops and duplicate edges."""
     if n < 1:
@@ -211,8 +200,8 @@ def _bfs_distances(g: Graph, source: int) -> list[int]:
     return dist
 
 
-def distance_matrix(g: Graph) -> DistanceMatrix:
-    """Exact BFS distances from every vertex; errors on disconnected input."""
+def distance_matrix(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Rows of exact BFS distances, in edge hops; errors on disconnected input."""
     first = _bfs_distances(g, 0)
     for w, d in enumerate(first):
         if d < 0:
@@ -220,7 +209,7 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
     rows = [tuple(first)]
     # reaching every vertex from 0 guarantees the remaining rows are complete
     rows.extend(tuple(_bfs_distances(g, v)) for v in range(1, g.n))
-    return DistanceMatrix(g.n, tuple(rows))
+    return tuple(rows)
 
 
 def count_p3(g: Graph) -> int:

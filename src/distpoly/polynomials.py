@@ -18,12 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .graphs import DistanceMatrix, Graph
+from .graphs import Graph
 
 
 def _rows(matrix) -> list[tuple[int, ...]]:
-    if isinstance(matrix, DistanceMatrix):
-        return list(matrix.entries)
+    # tuple() of a tuple is the same object, so distance rows are not copied
     rows = [tuple(row) for row in matrix]
     if any(len(row) != len(rows) for row in rows):
         raise ValueError("matrix must be square")
@@ -44,28 +43,12 @@ class CharPoly:
         return acc
 
 
-@dataclass(frozen=True)
-class DeltaSeq:
-    """Coefficients delta_0..delta_n of det(M - xI), i.e. (-1)^n c_k."""
-
-    n: int
-    delta: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class NormalizedSeq:
-    """Normalized coefficients d_0..d_{n-2}: ints, or Fractions where not integral."""
-
-    n: int
-    d: tuple[int | Fraction, ...]
-
-
 def charpoly(matrix) -> CharPoly:
     """Characteristic polynomial det(xI - M) by the Berkowitz algorithm.
 
     Division-free over the integers, so exact for any integer matrix.
-    Accepts a DistanceMatrix or any square list of integer rows; a 0x0
-    input yields the constant polynomial 1.
+    Accepts any square sequence of integer rows; a 0x0 input yields the
+    constant polynomial 1.
     """
     M = _rows(matrix)
     n = len(M)
@@ -209,45 +192,47 @@ def det_at(matrix, t: int) -> int:
     return sign * M[n - 1][n - 1]
 
 
-def delta_seq(p: CharPoly) -> DeltaSeq:
-    """Apply the sign rule delta_k = (-1)^n c_k to a monic polynomial."""
+def delta_seq(p: CharPoly) -> tuple[int, ...]:
+    """Coefficients delta_0..delta_n of det(M - xI): delta_k = (-1)^n c_k."""
     if not p.coeffs or p.coeffs[-1] != 1:
         raise ValueError("characteristic polynomial must be monic")
     sign = -1 if p.n % 2 else 1
-    return DeltaSeq(p.n, tuple(sign * c for c in p.coeffs))
+    return tuple(sign * c for c in p.coeffs)
 
 
-def normalized_seq(ds: DeltaSeq) -> NormalizedSeq:
+def normalized_seq(delta: tuple[int, ...]) -> tuple[int | Fraction, ...]:
     """Normalized coefficients d_k = 2^k |delta_k| / 2^(n-2) for k <= n-2.
 
-    Each value is an int when the division is exact, which it always is
-    for a tree, and a Fraction (an exact dyadic rational) otherwise.
+    delta holds delta_0..delta_n. Each value is an int when the division
+    is exact, which it always is for a tree, and a Fraction (an exact
+    dyadic rational) otherwise.
     """
-    n = ds.n
+    n = len(delta) - 1
     if n < 3:
         raise ValueError("normalized coefficients need order at least 3")
     shift = n - 2
     low = (1 << shift) - 1
     d = []
     for k in range(n - 1):
-        value = abs(ds.delta[k]) << k
+        value = abs(delta[k]) << k
         d.append(value >> shift if not value & low else Fraction(value, low + 1))
-    return NormalizedSeq(n, tuple(d))
+    return tuple(d)
 
 
-def scaled_poly(dm: DistanceMatrix) -> tuple[Fraction, ...]:
+def scaled_poly(dm) -> tuple[Fraction, ...]:
     """Ascending coefficients of -det(2xI - D) / 2^(n-2) for a tree matrix.
 
     The x^n coefficient is -4, the x^(n-1) coefficient is 0, and the
     remaining ones reproduce the normalized coefficient sequence.
     """
-    n = dm.n
+    rows = _rows(dm)
+    n = len(rows)
     if n < 3:
         raise ValueError("scaled polynomial needs order at least 3")
-    ones = sum(row.count(1) for row in dm.entries)
+    ones = sum(row.count(1) for row in rows)
     if ones != 2 * (n - 1):
         raise ValueError("distance matrix does not belong to a tree")
-    p = charpoly(dm)
+    p = charpoly(rows)
     scale = 1 << (n - 2)
     return tuple(Fraction(-(c << k), scale) for k, c in enumerate(p.coeffs))
 

@@ -11,16 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, isqrt
 
-from .polynomials import NormalizedSeq
-
-
-@dataclass(frozen=True)
-class SeqCheck:
-    """Outcome of a sequence predicate; witness is set iff it fails."""
-
-    holds: bool
-    witness: int | None = None
-
 
 @dataclass(frozen=True)
 class PeakInterval:
@@ -40,12 +30,8 @@ class BoundSet:
     thm_hi: int
 
 
-def is_unimodal(seq) -> SeqCheck:
-    """Nondecreasing up to some index, nonincreasing after it.
-
-    On failure the witness is the first strict dip that a later strict
-    rise follows.
-    """
+def is_unimodal(seq) -> bool:
+    """Nondecreasing up to some index, nonincreasing after it."""
     values = list(seq)
     if not values:
         raise ValueError("empty sequence")
@@ -55,14 +41,14 @@ def is_unimodal(seq) -> SeqCheck:
             dip = i
             break
     if dip is None:
-        return SeqCheck(True)
+        return True
     for j in range(dip, len(values) - 1):
         if values[j + 1] > values[j]:
-            return SeqCheck(False, dip)
-    return SeqCheck(True)
+            return False
+    return True
 
 
-def is_log_concave(seq) -> SeqCheck:
+def is_log_concave(seq) -> bool:
     """a_j^2 >= a_{j-1} a_{j+1} for every interior j, exact comparison.
 
     The literal inequality is used; positivity is not assumed here and is
@@ -73,11 +59,11 @@ def is_log_concave(seq) -> SeqCheck:
         raise ValueError("empty sequence")
     for j in range(1, len(values) - 1):
         if values[j] * values[j] < values[j - 1] * values[j + 1]:
-            return SeqCheck(False, j)
-    return SeqCheck(True)
+            return False
+    return True
 
 
-def newton_check(coeffs) -> SeqCheck:
+def newton_check(coeffs) -> bool:
     """Binomial-weighted log-concavity, satisfied by real-rooted polynomials.
 
     For a_0..a_n, checks a_j^2 C(n,j+1) C(n,j-1) >= a_{j+1} a_{j-1} C(n,j)^2
@@ -91,8 +77,8 @@ def newton_check(coeffs) -> SeqCheck:
         lhs = values[j] * values[j] * comb(n, j + 1) * comb(n, j - 1)
         rhs = values[j + 1] * values[j - 1] * comb(n, j) ** 2
         if lhs < rhs:
-            return SeqCheck(False, j)
-    return SeqCheck(True)
+            return False
+    return True
 
 
 def peak_interval(seq) -> PeakInterval:
@@ -144,15 +130,12 @@ def lower_bound_diam(n: int, diam: int) -> int:
     return (n - 2) // (1 + diam)
 
 
-def ratio_bound_check(d_seq: NormalizedSeq, n: int, diam: int) -> SeqCheck:
-    """Checks 3 d_{n-3} < n * diam * d_{n-2} in exact arithmetic."""
+def ratio_bound_check(d, diam: int) -> bool:
+    """Checks 3 d_{n-3} < n * diam * d_{n-2} for d = d_0..d_{n-2}, exactly."""
+    n = len(d) + 1
     if n < 3:
         raise ValueError("order must be at least 3")
-    if d_seq.n != n:
-        raise ValueError("sequence order mismatch")
-    if 3 * d_seq.d[-2] < n * diam * d_seq.d[-1]:
-        return SeqCheck(True)
-    return SeqCheck(False, n - 3)
+    return 3 * d[-2] < n * diam * d[-1]
 
 
 def bound_set(n: int, n_p3: int, diam: int) -> BoundSet:

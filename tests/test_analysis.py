@@ -124,7 +124,7 @@ class TestVerifyRange:
         monkeypatch.setattr(
             analysis.sequences,
             "is_unimodal",
-            lambda seq: sequences.SeqCheck(False, 0),
+            lambda seq: False,
         )
         report = analysis.verify_range(4)
         assert report.total_violations == report.total_trees == 3

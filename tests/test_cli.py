@@ -1,4 +1,5 @@
 import json
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -112,6 +113,13 @@ class TestAnalyzeCommand:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("fmt", ["edgelist", "graph6"])
+    def test_builtin_rejects_format(self, capsys, fmt):
+        code, out, err = run_cli(capsys, "analyze", "--builtin", "heawood", "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert "--format" in err
+
     def test_disconnected_input(self, capsys, tmp_path):
         path = tmp_path / "two.edges"
         path.write_text("0 1\n2 3\n")
@@ -125,6 +133,12 @@ class TestEnumerateCommand:
         code, out, _ = run_cli(capsys, "enumerate", "--order", "7", "--count-only")
         assert code == 0
         assert out.strip() == "11"
+
+    @pytest.mark.parametrize("emit", ["edgelist", "parents"])
+    def test_count_only_rejects_emit(self, capsys, emit):
+        code, out, _ = run_cli(capsys, "enumerate", "--order", "6", "--count-only", "--emit", emit)
+        assert code == 2
+        assert out == ""
 
     def test_parents_stream(self, capsys):
         code, out, _ = run_cli(capsys, "enumerate", "--order", "4", "--emit", "parents")
@@ -170,12 +184,12 @@ class TestVerifyCommand:
         assert reports[-1]["type"] == "aggregate_report"
 
     def test_violation_exit_code(self, capsys, monkeypatch):
-        from distpoly import analysis, sequences
+        from distpoly import analysis
 
         monkeypatch.setattr(
             analysis.sequences,
             "is_unimodal",
-            lambda seq: sequences.SeqCheck(False, 0),
+            lambda seq: False,
         )
         code, out, _ = run_cli(capsys, "verify", "--max-order", "4")
         assert code == 1
@@ -207,6 +221,22 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "3"
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="platform has no SIGPIPE")
+    def test_closed_stdout_ends_silently(self):
+        # order 15 prints more than a pipe buffer holds, so the command is
+        # still writing when the reader goes away
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "distpoly.cli", "enumerate", "--order", "15", "--emit", "parents"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline().startswith(b"-1 ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == -signal.SIGPIPE
+        assert err == b""
 
 
 class TestGoldenReports:
