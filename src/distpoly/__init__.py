@@ -52,7 +52,6 @@ from .sequences import (
 )
 from .treegen import (
     CanonicalTree,
-    count_trees,
     enumerate_trees,
     to_graph,
     tree_count_recurrence,

@@ -19,6 +19,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from multiprocessing import Pool
 from typing import Callable
 
@@ -123,10 +124,8 @@ def analyze_graph(g: graphs.Graph, tree_id: int | None = None) -> TreeReport:
 
     n = g.n
     checks: dict[str, bool | None] = {}
-    checks["trace_identities"] = (
-        2 * d[-1] == polynomials.trace_power(dm, 2)
-        and 6 * d[-2] == polynomials.trace_power(dm, 3)
-    )
+    tr2, tr3 = polynomials.trace_power(dm)
+    checks["trace_identities"] = 2 * d[-1] == tr2 and 6 * d[-2] == tr3
     checks["log_concave"] = sequences.is_log_concave(d)
     checks["unimodal"] = sequences.is_unimodal(d)
     checks["newton"] = sequences.newton_check(poly.coeffs)
@@ -178,12 +177,6 @@ def analyze_graph(g: graphs.Graph, tree_id: int | None = None) -> TreeReport:
 # JSON serialization
 
 
-def exact_to_str(value) -> str:
-    if isinstance(value, Fraction) and value.denominator != 1:
-        return f"{value.numerator}/{value.denominator}"
-    return str(int(value))
-
-
 def tree_report_to_json(report: TreeReport) -> dict:
     return {
         "type": "tree_report",
@@ -194,7 +187,7 @@ def tree_report_to_json(report: TreeReport) -> dict:
         "p3_count": report.p3_count,
         "coefficients": [str(c) for c in report.coefficients],
         "delta": [str(x) for x in report.delta],
-        "d": [exact_to_str(x) for x in report.d],
+        "d": [str(x) for x in report.d],
         "peak": {"first": report.peak.first, "last": report.peak.last},
         "bounds": None
         if report.bounds is None
@@ -277,18 +270,11 @@ def _sweep_chunk(args) -> tuple[OrderStats, list[dict], list[dict]]:
 
 
 def _chunked_args(n: int, want_per_tree: bool):
-    batch: list[tuple[int, ...]] = []
+    parents = (tree.parent for tree in treegen.enumerate_trees(n))
     start = 0
-    produced = 0
-    for tree in treegen.enumerate_trees(n):
-        batch.append(tree.parent)
-        produced += 1
-        if len(batch) == _CHUNK_SIZE:
-            yield (n, start, batch, want_per_tree)
-            start = produced
-            batch = []
-    if batch:
+    while batch := list(islice(parents, _CHUNK_SIZE)):
         yield (n, start, batch, want_per_tree)
+        start += _CHUNK_SIZE
 
 
 def verify_range(

@@ -58,7 +58,7 @@ def _cmd_enumerate(args) -> int:
     if args.order < 1:
         raise ValueError("order must be at least 1")
     if args.count_only:
-        print(treegen.count_trees(args.order))
+        print(treegen.tree_count_recurrence(args.order))
         return 0
     for tree in treegen.enumerate_trees(args.order):
         if args.emit == "parents":

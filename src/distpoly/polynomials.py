@@ -5,11 +5,10 @@ point. The characteristic polynomial of a general matrix is computed with
 the division-free Berkowitz algorithm; trees take a structural kernel
 built on Graham and Lovasz's closed form for the inverse distance matrix,
 which packs each polynomial into one Python int (Kronecker substitution)
-so that its products run as C-level big-integer multiplies.
-Fraction-free Bareiss elimination provides a genuinely independent
-determinant for cross-checking both. Normalized coefficients are ints
-wherever they are integral, which they are for every tree, so only
-non-trees ever build a Fraction.
+so that its products run as C-level big-integer multiplies; the tests
+check both against an independent Bareiss determinant (tests/oracles.py).
+Normalized coefficients are ints wherever they are integral, which they
+are for every tree, so only non-trees ever build a Fraction.
 """
 
 from __future__ import annotations
@@ -35,12 +34,6 @@ class CharPoly:
 
     n: int
     coeffs: tuple[int, ...]
-
-    def __call__(self, t: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
 
 
 def charpoly(matrix) -> CharPoly:
@@ -161,37 +154,6 @@ def tree_charpoly(g: Graph) -> CharPoly:
     return CharPoly(n, tuple(coeffs))
 
 
-def det_at(matrix, t: int) -> int:
-    """det(tI - M) by fraction-free Gaussian elimination (Bareiss), exact."""
-    rows = _rows(matrix)
-    n = len(rows)
-    if n == 0:
-        return 1
-    M = [[(t if i == j else 0) - rows[i][j] for j in range(n)] for i in range(n)]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for r in range(k + 1, n):
-                if M[r][k] != 0:
-                    M[k], M[r] = M[r], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = M[k][k]
-        row_k = M[k]
-        for i in range(k + 1, n):
-            row_i = M[i]
-            factor = row_i[k]
-            for j in range(k + 1, n):
-                # Bareiss guarantees the division by the previous pivot is exact
-                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * M[n - 1][n - 1]
-
-
 def delta_seq(p: CharPoly) -> tuple[int, ...]:
     """Coefficients delta_0..delta_n of det(M - xI): delta_k = (-1)^n c_k."""
     if not p.coeffs or p.coeffs[-1] != 1:
@@ -219,42 +181,22 @@ def normalized_seq(delta: tuple[int, ...]) -> tuple[int | Fraction, ...]:
     return tuple(d)
 
 
-def scaled_poly(dm) -> tuple[Fraction, ...]:
-    """Ascending coefficients of -det(2xI - D) / 2^(n-2) for a tree matrix.
-
-    The x^n coefficient is -4, the x^(n-1) coefficient is 0, and the
-    remaining ones reproduce the normalized coefficient sequence.
-    """
-    rows = _rows(dm)
-    n = len(rows)
-    if n < 3:
-        raise ValueError("scaled polynomial needs order at least 3")
-    ones = sum(row.count(1) for row in rows)
-    if ones != 2 * (n - 1):
-        raise ValueError("distance matrix does not belong to a tree")
-    p = charpoly(rows)
-    scale = 1 << (n - 2)
-    return tuple(Fraction(-(c << k), scale) for k, c in enumerate(p.coeffs))
-
-
-def trace_power(matrix, k: int) -> int:
-    """Exact tr(M^2) or tr(M^3) of a symmetric M without forming M^k.
+def trace_power(matrix) -> tuple[int, int]:
+    """Exact (tr(M^2), tr(M^3)) of a symmetric M, from one pass over its rows.
 
     tr(M^2) is the sum of row_i . row_i, and tr(M^3) the sum over i <= j
-    of (2 - [i = j]) M_ij (row_i . row_j), skipping zero entries.
-    Raises ValueError unless M is symmetric.
+    of (2 - [i = j]) M_ij (row_i . row_j), skipping zero entries; the
+    diagonal dot products serve both. Raises ValueError unless M is
+    symmetric.
     """
-    if k not in (2, 3):
-        raise ValueError("only powers 2 and 3 are supported")
     rows = _rows(matrix)
     if rows != list(zip(*rows)):
         raise ValueError("trace_power needs a symmetric matrix")
-    if k == 2:
-        return sum(sum(map(mul, row, row)) for row in rows)
-    total = 0
-    off = 0
+    tr2 = diag = off = 0
     for i, row in enumerate(rows):
+        square = sum(map(mul, row, row))
+        tr2 += square
         if row[i]:
-            total += row[i] * sum(map(mul, row, row))
+            diag += row[i] * square
         off += sum([m * sum(map(mul, row, r)) for m, r in zip(row[i + 1:], rows[i + 1:]) if m])
-    return total + 2 * off
+    return tr2, diag + 2 * off

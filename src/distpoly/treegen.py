@@ -12,8 +12,12 @@ Sequences are generated in decreasing lexicographic order starting from
 the center-rooted path. Whenever a candidate fails the canonicity test,
 every sequence sharing its first root subtree fails too, so the generator
 skips the whole block by rewriting the sequence at the subtree's last
-vertex. This keeps successor generation at constant amortized cost per
-tree; order 20 streams in well under a minute.
+vertex. That is not constant amortized time per tree: the candidates
+rejected near the start of each order's stream grow roughly 2.5x per
+order (7,865 before the first 100 trees at order 14, 48,157 at order 16,
+262,848 at order 18), so the start of the stream dominates at large
+orders. ROADMAP.md item 2 plans to remove the rejections with the
+successor rule of Wright, Richmond, Odlyzko and McKay.
 """
 
 from __future__ import annotations
@@ -32,12 +36,6 @@ class CanonicalTree:
 
     n: int
     parent: tuple[int, ...]  # parent[0] == ROOT and parent[i] < i for i >= 1
-
-    def level_sequence(self) -> list[int]:
-        depths = [0] * self.n
-        for i in range(1, self.n):
-            depths[i] = depths[self.parent[i]] + 1
-        return depths
 
 
 def _start_sequence(n: int) -> list[int]:
@@ -132,13 +130,6 @@ def enumerate_trees(n: int) -> Iterator[CanonicalTree]:
 def to_graph(tree: CanonicalTree) -> Graph:
     """Graph with edges {i, parent[i]} for every non-root vertex."""
     return graph_from_edges(tree.n, ((tree.parent[i], i) for i in range(1, tree.n)))
-
-
-def count_trees(n: int) -> int:
-    """Number of free trees on n vertices, by exhausting the generator."""
-    if n < 1:
-        raise ValueError("tree order must be at least 1")
-    return sum(1 for _ in _level_sequences(n))
 
 
 def _rooted_counts(limit: int) -> list[int]:

@@ -2,7 +2,9 @@
 
 Nothing here reuses the package's canonical form or generation machinery:
 trees come from Prufer codes, isomorphism classes from a center-rooted
-AHU encoding, and subgraph counts from explicit triple enumeration.
+AHU encoding, subgraph counts from explicit triple enumeration and
+determinants from Bareiss elimination. The one exception is scaled_poly,
+which rescales the package's Berkowitz polynomial.
 """
 
 from __future__ import annotations
@@ -10,7 +12,10 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
+from fractions import Fraction
 from multiprocessing import Pool
+
+from distpoly.polynomials import charpoly
 
 
 def prufer_decode(code, n: int) -> list[list[int]]:
@@ -193,6 +198,65 @@ def random_connected_adj(rng, n: int, extra_edges: int = 0) -> list[list[int]]:
         adj[u].append(v)
         adj[v].append(u)
     return adj
+
+
+def evaluate(coeffs, t: int) -> int:
+    """Value at t of the polynomial with ascending coefficients coeffs."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
+
+
+def det_at(matrix, t: int) -> int:
+    """det(tI - M) by fraction-free Gaussian elimination (Bareiss), exact."""
+    rows = [list(row) for row in matrix]
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square")
+    if n == 0:
+        return 1
+    M = [[(t if i == j else 0) - rows[i][j] for j in range(n)] for i in range(n)]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            for r in range(k + 1, n):
+                if M[r][k] != 0:
+                    M[k], M[r] = M[r], M[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = M[k][k]
+        row_k = M[k]
+        for i in range(k + 1, n):
+            row_i = M[i]
+            factor = row_i[k]
+            for j in range(k + 1, n):
+                # Bareiss guarantees the division by the previous pivot is exact
+                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pivot
+    return sign * M[n - 1][n - 1]
+
+
+def scaled_poly(dm) -> tuple[Fraction, ...]:
+    """Ascending coefficients of -det(2xI - D) / 2^(n-2) for a tree matrix.
+
+    The x^n coefficient is -4, the x^(n-1) coefficient is 0, and the
+    remaining ones reproduce the normalized coefficient sequence.
+    """
+    rows = [tuple(row) for row in dm]
+    n = len(rows)
+    if n < 3:
+        raise ValueError("scaled polynomial needs order at least 3")
+    ones = sum(row.count(1) for row in rows)
+    if ones != 2 * (n - 1):
+        raise ValueError("distance matrix does not belong to a tree")
+    p = charpoly(rows)
+    scale = 1 << (n - 2)
+    return tuple(Fraction(-(c << k), scale) for k, c in enumerate(p.coeffs))
 
 
 def _poly_sum(size: int, *terms) -> list[int]:

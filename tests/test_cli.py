@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from distpoly import cli, graphs
+from distpoly import cli, graphs, treegen
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "goldens"
 
@@ -133,6 +133,12 @@ class TestEnumerateCommand:
         code, out, _ = run_cli(capsys, "enumerate", "--order", "7", "--count-only")
         assert code == 0
         assert out.strip() == "11"
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_count_only_matches_stream(self, capsys, n):
+        code, out, _ = run_cli(capsys, "enumerate", "--order", str(n), "--count-only")
+        assert code == 0
+        assert out == f"{sum(1 for _ in treegen.enumerate_trees(n))}\n"
 
     @pytest.mark.parametrize("emit", ["edgelist", "parents"])
     def test_count_only_rejects_emit(self, capsys, emit):
