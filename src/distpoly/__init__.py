@@ -11,6 +11,7 @@ from .analysis import (
     SweepInterrupted,
     TreeReport,
     analyze_graph,
+    analyze_tree,
     verify_range,
 )
 from .graphs import (
@@ -36,6 +37,7 @@ from .polynomials import (
     normalized_seq,
     trace_power,
     tree_charpoly,
+    tree_traces,
 )
 from .sequences import (
     BoundSet,
@@ -53,6 +55,7 @@ from .sequences import (
 from .treegen import (
     CanonicalTree,
     enumerate_trees,
+    preorder_parents,
     to_graph,
     tree_count_recurrence,
 )

@@ -1,11 +1,14 @@
 """Per-graph analysis reports and the exhaustive all-trees sweep.
 
-analyze_graph runs the full pipeline (distances, characteristic
-polynomial, coefficient sequences, predicates, bounds) on one connected
-graph; it is the only place that picks the tree kernel over Berkowitz.
-verify_range streams every free tree of orders 3..n_max through that
-pipeline, optionally on a worker pool, and folds the results into an
-aggregate whose content is independent of the worker count.
+analyze_tree runs the full pipeline (characteristic polynomial, trace
+identities, coefficient sequences, predicates, bounds) on a tree given
+as a preorder parent array, with the packed tree kernels and no distance
+matrix. analyze_graph takes any connected graph: it relabels a tree and
+hands it to analyze_tree, and gives every other graph BFS distances and
+Berkowitz; both paths share one report builder. verify_range streams
+every free tree of orders 3..n_max through analyze_tree, optionally on a
+worker pool, and folds the results into an aggregate whose content is
+independent of the worker count.
 
 JSON conventions: coefficient-sized integers are serialized as decimal
 strings because they outgrow 64-bit range quickly; dyadic rationals are
@@ -20,6 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
+from math import comb
 from multiprocessing import Pool
 from typing import Callable
 
@@ -103,28 +107,55 @@ class AggregateReport:
     duration_seconds: float
 
 
+def analyze_tree(parent, tree_id: int | None = None) -> TreeReport:
+    """Run the full pipeline on a tree given as a preorder parent array.
+
+    parent[0] == -1 and each subtree is an index range, as enumerate_trees
+    and treegen.preorder_parents give it; no Graph or distance matrix is
+    built. Raises ValueError on any other array or an order below 3.
+    """
+    poly = polynomials.tree_charpoly(parent)
+    tr2, tr3, diam = polynomials.tree_traces(parent)
+    # the degree of v is its child count, plus one unless v is the root
+    children = Counter(parent[1:])
+    p3 = sum(comb(c + (v > 0), 2) for v, c in children.items())
+    return _report(tree_id, True, diam, p3, poly, tr2, tr3)
+
+
 def analyze_graph(g: graphs.Graph, tree_id: int | None = None) -> TreeReport:
     """Run the full pipeline on a connected graph of order >= 3.
 
-    Tree-only identities are skipped (None) when the input is not a tree:
-    failing predicates on a non-tree are findings, never violations, so
-    `failed` stays empty there.
+    A tree is relabeled into a preorder parent array and goes through
+    analyze_tree; any other graph takes BFS distances, Berkowitz and
+    trace_power. Tree-only identities are skipped (None) when the input
+    is not a tree: failing predicates on a non-tree are findings, never
+    violations, so `failed` stays empty there.
     """
     if g.n < 3:
         raise ValueError("analysis requires order at least 3")
-    dm = graphs.distance_matrix(g)
-    diam = max(map(max, dm))
-    p3 = graphs.count_p3(g)
-    tree = g.edge_count == g.n - 1  # connectivity established by distance_matrix
+    if graphs.is_tree(g):
+        return analyze_tree(treegen.preorder_parents(g), tree_id)
+    dm = graphs.distance_matrix(g)  # raises DisconnectedGraphError
+    poly = polynomials.charpoly(dm)
+    tr2, tr3 = polynomials.trace_power(dm)
+    return _report(tree_id, False, max(map(max, dm)), graphs.count_p3(g), poly, tr2, tr3)
 
-    poly = polynomials.tree_charpoly(g) if tree else polynomials.charpoly(dm)
+
+def _report(
+    tree_id: int | None,
+    tree: bool,
+    diam: int,
+    p3: int,
+    poly: polynomials.CharPoly,
+    tr2: int,
+    tr3: int,
+) -> TreeReport:
     delta = polynomials.delta_seq(poly)
     d = polynomials.normalized_seq(delta)
     peak = sequences.peak_interval(d)
 
-    n = g.n
+    n = poly.n
     checks: dict[str, bool | None] = {}
-    tr2, tr3 = polynomials.trace_power(dm)
     checks["trace_identities"] = 2 * d[-1] == tr2 and 6 * d[-2] == tr3
     checks["log_concave"] = sequences.is_log_concave(d)
     checks["unimodal"] = sequences.is_unimodal(d)
@@ -238,15 +269,14 @@ _SLACKS = ("thm_lo", "thm_hi", "conj_lo", "conj_hi")
 
 def _sweep_chunk(args) -> tuple[OrderStats, list[dict], list[dict]]:
     """Stats, violations and (if asked) per-tree reports of one chunk."""
-    n, start_id, parents, want_per_tree = args
+    start_id, parents, want_per_tree = args
     firsts: list[int] = []
     plateaus = 0
     slacks: list[tuple[int, ...]] = []
     violations: list[dict] = []
     per_tree: list[dict] = []
     for offset, parent in enumerate(parents):
-        g = treegen.to_graph(treegen.CanonicalTree(n, parent))
-        report = analyze_graph(g, tree_id=start_id + offset)
+        report = analyze_tree(parent, tree_id=start_id + offset)
         first, last = report.peak.first, report.peak.last
         b = report.bounds
         firsts.append(first)
@@ -273,7 +303,7 @@ def _chunked_args(n: int, want_per_tree: bool):
     parents = (tree.parent for tree in treegen.enumerate_trees(n))
     start = 0
     while batch := list(islice(parents, _CHUNK_SIZE)):
-        yield (n, start, batch, want_per_tree)
+        yield (start, batch, want_per_tree)
         start += _CHUNK_SIZE
 
 

@@ -7,6 +7,8 @@ built on Graham and Lovasz's closed form for the inverse distance matrix,
 which packs each polynomial into one Python int (Kronecker substitution)
 so that its products run as C-level big-integer multiplies; the tests
 check both against an independent Bareiss determinant (tests/oracles.py).
+Trees enter as preorder parent arrays, and tree_traces packs their
+distance rows the same way, so no tree ever forms its distance matrix.
 Normalized coefficients are ints wherever they are integral, which they
 are for every tree, so only non-trees ever build a Fraction.
 """
@@ -16,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-
-from .graphs import Graph
 
 
 def _rows(matrix) -> list[tuple[int, ...]]:
@@ -73,8 +73,35 @@ def charpoly(matrix) -> CharPoly:
     return CharPoly(n, tuple(coeffs))
 
 
-def tree_charpoly(g: Graph) -> CharPoly:
-    """det(xI - D) of a tree from its edges alone; D is never formed.
+def _preorder_depths(parent) -> list[int]:
+    """Vertex depths of a preorder parent array of order at least 3.
+
+    Raises ValueError unless parent[0] == -1 and each parent[i] lies on
+    the path from the root to vertex i - 1, which holds exactly when the
+    labels are a preorder, so that every subtree is an index range.
+    """
+    n = len(parent)
+    if n < 3:
+        raise ValueError("tree kernel needs order at least 3")
+    if parent[0] != -1:
+        raise ValueError("parent[0] must be -1, the root")
+    depth = [0] * n
+    path = [0]  # path[k] = the depth-k vertex on the path from the root to i - 1
+    for i in range(1, n):
+        p = parent[i]
+        if not 0 <= p < i:
+            raise ValueError(f"parent[{i}] = {p} is not a vertex before {i}")
+        d = depth[p] + 1
+        if d > len(path) or path[d - 1] != p:
+            raise ValueError(f"parent array is not a preorder: parent[{i}] = {p}")
+        del path[d:]
+        path.append(i)
+        depth[i] = d
+    return depth
+
+
+def tree_charpoly(parent) -> CharPoly:
+    """det(xI - D) of a tree from its preorder parent array; D is never formed.
 
     Graham and Lovasz give D^-1 = -L/2 + tau tau^T / (2(n-1)) with
     tau_v = 2 - deg v, so the matrix determinant lemma yields
@@ -103,31 +130,25 @@ def tree_charpoly(g: Graph) -> CharPoly:
     difference of two nonnegative terms, so below n^2 4^n in absolute
     value.
 
-    Raises ValueError unless g is a tree of order at least 3.
+    parent[0] == -1 marks the root and every other parent[i] < i, with
+    the labels in preorder (as enumerate_trees and
+    treegen.preorder_parents give them); raises ValueError otherwise or
+    when the order is below 3.
     """
-    n = g.n
-    if n < 3:
-        raise ValueError("tree kernel needs order at least 3")
-    adj = g.adj
-    # BFS order from vertex 0: every parent precedes its children
-    parent = [-1] * n
-    parent[0] = 0
-    order = [0]
-    for u in order:
-        for child in adj[u]:
-            if parent[child] < 0:
-                parent[child] = u
-                order.append(child)
-    if len(order) != n or g.edge_count != n - 1:
-        raise ValueError("tree kernel needs a tree")
+    _preorder_depths(parent)
+    n = len(parent)
+    degree = [1] * n
+    degree[0] = 0
+    for p in parent[1:]:
+        degree[p] += 1
     w = (n * n << 2 * n).bit_length() + 1
     w2 = 2 * w
-    A = [2 + (len(nbrs) << w) for nbrs in adj]
+    A = [2 + (deg << w) for deg in degree]
     B = [1] * n
-    S = [2 - len(nbrs) for nbrs in adj]
+    S = [2 - deg for deg in degree]
     W = [t * t for t in S]
     V = [0] * n
-    for c in reversed(order[1:]):
+    for c in range(n - 1, 0, -1):
         p = parent[c]
         a, b, s, v = A[p], B[p], S[p], V[p]
         ac, bc, sc, wc, vc = A[c], B[c], S[c], W[c], V[c]
@@ -200,3 +221,59 @@ def trace_power(matrix) -> tuple[int, int]:
             diag += row[i] * square
         off += sum([m * sum(map(mul, row, r)) for m, r in zip(row[i + 1:], rows[i + 1:]) if m])
     return tr2, diag + 2 * off
+
+
+def tree_traces(parent) -> tuple[int, int, int]:
+    """(tr(D^2), tr(D^3), diameter) of a tree from its preorder parent array.
+
+    D is never formed. Each row of D, D^2 and D^3 is one int, its value at
+    X = 2^b: R_i = sum_j d(i, j) X^j. In preorder the subtree of i is the
+    index range [i, end_i), and d(i, j) = d(p, j) + 1 - 2 [j in subtree(i)]
+    for the parent p of i, so R_i = R_p + ones - 2 range(i, end_i). For
+    any rows M_j, row i of D M is sum_j d(i, j) M_j, and the same
+    recurrence turns it into (DM)_i = (DM)_p + total - 2 sub_i, where
+    total sums every M_j and sub_i sums M_j over the subtree of i. Applied
+    to the rows of D and then of D^2, it gives D^2 and D^3, and each trace
+    sums digit i of row i. The diameter is the largest digit of R_far for
+    a deepest vertex far, since a vertex farthest from the root ends a
+    longest path.
+
+    All of it is O(n) big-int additions, against the O(n^3) of
+    trace_power on D. It uses only the path metric, not the Laplacian
+    identity behind tree_charpoly, so the trace identities check that
+    kernel independently. Every int here is a polynomial in X with
+    nonnegative coefficients, so reading its base-X digits is exact when
+    each coefficient is below X. The largest are the entries of D^3:
+    sums of n terms d(i, j) (D^2)_jk, each below n * n^3, so below
+    n^5 < X = 2^(bitlen(n^5) + 1).
+
+    Takes the same preorder parent arrays as tree_charpoly and raises
+    ValueError on the same malformed inputs.
+    """
+    depth = _preorder_depths(parent)
+    n = len(parent)
+    b = (n ** 5).bit_length() + 1
+    mask = (1 << b) - 1
+    prefix = [0]  # prefix[k] = X^0 + ... + X^(k-1)
+    for k in range(n):
+        prefix.append(prefix[k] + (1 << k * b))
+    ones = prefix[n]
+    size = [1] * n
+    for i in range(n - 1, 0, -1):
+        size[parent[i]] += size[i]
+    R = [sum(d << j * b for j, d in enumerate(depth))] * n
+    for i in range(1, n):
+        R[i] = R[parent[i]] + ones - 2 * (prefix[i + size[i]] - prefix[i])
+    traces = []
+    rows = R
+    for _ in range(2):  # rows of D^2, then of D^3
+        sub = rows[:]
+        for i in range(n - 1, 0, -1):
+            sub[parent[i]] += sub[i]
+        product = [sum(map(mul, depth, rows))] * n
+        for i in range(1, n):
+            product[i] = product[parent[i]] + sub[0] - 2 * sub[i]
+        traces.append(sum((row >> i * b) & mask for i, row in enumerate(product)))
+        rows = product
+    far = R[depth.index(max(depth))]
+    return traces[0], traces[1], max((far >> j * b) & mask for j in range(n))

@@ -132,6 +132,32 @@ def to_graph(tree: CanonicalTree) -> Graph:
     return graph_from_edges(tree.n, ((tree.parent[i], i) for i in range(1, tree.n)))
 
 
+def preorder_parents(g: Graph) -> tuple[int, ...]:
+    """Parent array of a tree, relabeled by a depth-first preorder from 0.
+
+    parent[0] == ROOT and every subtree is an index range, the form the
+    tree kernels in polynomials take. Raises ValueError unless g is a tree.
+    """
+    n = g.n
+    label = [-1] * n
+    up = [ROOT] * n  # up[w] = new label of the vertex that pushed w
+    parent: list[int] = []
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        if label[v] >= 0:
+            raise ValueError(f"graph is not a tree: vertex {v} closes a cycle")
+        label[v] = len(parent)
+        parent.append(up[v])
+        for w in g.adj[v]:
+            if label[w] < 0:
+                up[w] = label[v]
+                stack.append(w)
+    if len(parent) < n:
+        raise ValueError(f"graph is not a tree: vertex {label.index(-1)} is not reachable from 0")
+    return tuple(parent)
+
+
 def _rooted_counts(limit: int) -> list[int]:
     # r[m] = number of rooted trees on m vertices, via the Euler-transform
     # recurrence m*r(m+1) = sum_{k=1..m} (sum_{d|k} d*r(d)) * r(m+1-k)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from distpoly import analysis, graphs, sequences, treegen
@@ -47,6 +49,27 @@ class TestAnalyzeGraph:
     def test_check_names_complete(self):
         report = analysis.analyze_graph(graphs.path_graph(4))
         assert tuple(report.checks) == analysis.CHECK_NAMES
+
+
+class TestAnalyzeTree:
+    def test_relabeled_graph_matches_parent_array(self):
+        # analyze_graph relabels a tree into its own preorder; the report
+        # must not depend on the labels it was given
+        rng = random.Random(83)
+        for n in range(3, 11):
+            for tree in treegen.enumerate_trees(n):
+                labels = list(range(n))
+                rng.shuffle(labels)
+                g = graphs.graph_from_edges(
+                    n, [(labels[tree.parent[i]], labels[i]) for i in range(1, n)]
+                )
+                assert analysis.analyze_graph(g) == analysis.analyze_tree(tree.parent)
+
+    def test_tree_id_carried(self):
+        report = analysis.analyze_tree((-1, 0, 1, 1), tree_id=5)
+        assert report.tree_id == 5
+        assert report.p3_count == 3
+        assert report.diameter == 2
 
 
 class TestRoundTrip:

@@ -69,14 +69,14 @@ class TestTreeCharpoly:
             for tree in treegen.enumerate_trees(n):
                 g = treegen.to_graph(tree)
                 expected = polynomials.charpoly(graphs.distance_matrix(g))
-                assert polynomials.tree_charpoly(g) == expected
+                assert polynomials.tree_charpoly(tree.parent) == expected
 
     def test_random_prufer_trees_orders_18_to_24(self):
         rng = random.Random(61)
         for _ in range(30):
             g = tree_graph(rng, rng.randint(18, 24))
             expected = polynomials.charpoly(graphs.distance_matrix(g))
-            assert polynomials.tree_charpoly(g) == expected
+            assert polynomials.tree_charpoly(treegen.preorder_parents(g)) == expected
 
     @pytest.mark.parametrize("n", [25, 40, 60, 100, 200])
     def test_packing_matches_list_oracle(self, n):
@@ -91,7 +91,8 @@ class TestTreeCharpoly:
             tree_graph(random.Random(n + 1), n),
         ]
         for g in shapes:
-            assert polynomials.tree_charpoly(g).coeffs == oracles.tree_charpoly_lists(g.adj)
+            kernel = polynomials.tree_charpoly(treegen.preorder_parents(g))
+            assert kernel.coeffs == oracles.tree_charpoly_lists(g.adj)
 
     @pytest.mark.parametrize(
         "graph",
@@ -105,12 +106,55 @@ class TestTreeCharpoly:
     )
     def test_non_tree_rejected(self, graph):
         with pytest.raises(ValueError, match="tree"):
-            polynomials.tree_charpoly(graph)
+            polynomials.tree_charpoly(treegen.preorder_parents(graph))
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_small_order_rejected(self, n):
         with pytest.raises(ValueError, match="order at least 3"):
-            polynomials.tree_charpoly(graphs.path_graph(n))
+            polynomials.tree_charpoly(treegen.preorder_parents(graphs.path_graph(n)))
+
+
+class TestTreeTraces:
+    """Packed path-metric traces against trace_power on the BFS matrix."""
+
+    @staticmethod
+    def expected(g):
+        dm = graphs.distance_matrix(g)
+        return polynomials.trace_power(dm) + (max(map(max, dm)),)
+
+    def test_all_trees_through_order_14(self):
+        for n in range(3, 15):
+            for tree in treegen.enumerate_trees(n):
+                g = treegen.to_graph(tree)
+                assert polynomials.tree_traces(tree.parent) == self.expected(g)
+
+    def test_random_prufer_trees_orders_18_to_200(self):
+        rng = random.Random(71)
+        # the path and the star at 200 are the extremes for digit width
+        shapes = [graphs.path_graph(200), graphs.star_graph(200)]
+        shapes += [tree_graph(rng, n) for n in [*range(18, 60), 100, 200]]
+        for g in shapes:
+            assert polynomials.tree_traces(treegen.preorder_parents(g)) == self.expected(g)
+
+    @pytest.mark.parametrize(
+        "parent",
+        [
+            (),
+            (-1,),
+            (-1, 0),
+            (0, 0, 1),
+            (-1, 1, 0),
+            (-1, 0, 2),
+            (-1, 0, 3),
+            (-1, 0, -1),
+            # parent[i] < i, but vertex 3's parent 1 is off the path to 2
+            (-1, 0, 0, 1),
+        ],
+    )
+    @pytest.mark.parametrize("kernel", [polynomials.tree_charpoly, polynomials.tree_traces])
+    def test_malformed_parent_rejected(self, kernel, parent):
+        with pytest.raises(ValueError):
+            kernel(parent)
 
 
 class TestDetAt:
@@ -210,7 +254,7 @@ class TestNormalizedSeq:
     def test_trees_give_ints(self):
         for n in range(3, 11):
             for tree in treegen.enumerate_trees(n):
-                ds = polynomials.delta_seq(polynomials.tree_charpoly(treegen.to_graph(tree)))
+                ds = polynomials.delta_seq(polynomials.tree_charpoly(tree.parent))
                 assert all(type(x) is int for x in polynomials.normalized_seq(ds))
 
     def test_fraction_only_where_not_integral(self):

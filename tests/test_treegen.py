@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 import oracles
-from distpoly import treegen
+from distpoly import graphs, treegen
 from distpoly.graphs import is_tree
 
 # free-tree counts for orders 1..14
@@ -83,3 +85,42 @@ class TestToGraph:
         assert a == b
         trees = list(treegen.enumerate_trees(8))
         assert len(set(trees)) == len(trees)
+
+
+class TestPreorderParents:
+    def test_relabels_into_preorder_of_same_tree(self):
+        rng = random.Random(89)
+        for n in range(1, 11):
+            for tree in treegen.enumerate_trees(n):
+                labels = list(range(n))
+                rng.shuffle(labels)
+                g = graphs.graph_from_edges(
+                    n, [(labels[tree.parent[i]], labels[i]) for i in range(1, n)]
+                )
+                parent = treegen.preorder_parents(g)
+                assert parent[0] == treegen.ROOT
+                # in preorder, each parent lies on the path from the root
+                # to the previous vertex
+                for i in range(1, n):
+                    v = i - 1
+                    while v != parent[i]:
+                        assert v > 0
+                        v = parent[v]
+                relabeled = treegen.to_graph(treegen.CanonicalTree(n, parent))
+                assert oracles.ahu_form(relabeled.adj) == oracles.ahu_form(g.adj)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            graphs.heawood(),
+            graphs.graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+            # n - 1 edges but a cycle plus an isolated vertex
+            graphs.graph_from_edges(4, [(0, 1), (1, 2), (2, 0)]),
+            # n - 1 edges, and vertex 0's component is a tree
+            graphs.graph_from_edges(5, [(0, 1), (2, 3), (3, 4), (4, 2)]),
+            graphs.graph_from_edges(4, [(0, 1), (2, 3)]),
+        ],
+    )
+    def test_non_tree_rejected(self, g):
+        with pytest.raises(ValueError, match="not a tree"):
+            treegen.preorder_parents(g)
