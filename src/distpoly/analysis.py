@@ -125,16 +125,21 @@ def analyze_tree(parent, tree_id: int | None = None) -> TreeReport:
 def analyze_graph(g: graphs.Graph, tree_id: int | None = None) -> TreeReport:
     """Run the full pipeline on a connected graph of order >= 3.
 
-    A tree is relabeled into a preorder parent array and goes through
-    analyze_tree; any other graph takes BFS distances, Berkowitz and
-    trace_power. Tree-only identities are skipped (None) when the input
-    is not a tree: failing predicates on a non-tree are findings, never
-    violations, so `failed` stays empty there.
+    One depth-first walk both tests for a tree and relabels it into a
+    preorder parent array, which goes through analyze_tree; a graph the
+    walk rejects takes BFS distances, Berkowitz and trace_power, or
+    raises DisconnectedGraphError. Tree-only identities are skipped
+    (None) when the input is not a tree: failing predicates on a non-tree
+    are findings, never violations, so `failed` stays empty there.
     """
     if g.n < 3:
         raise ValueError("analysis requires order at least 3")
-    if graphs.is_tree(g):
-        return analyze_tree(treegen.preorder_parents(g), tree_id)
+    try:
+        parent = treegen.preorder_parents(g)
+    except ValueError:
+        pass  # not a tree
+    else:
+        return analyze_tree(parent, tree_id)
     dm = graphs.distance_matrix(g)  # raises DisconnectedGraphError
     poly = polynomials.charpoly(dm)
     tr2, tr3 = polynomials.trace_power(dm)

@@ -36,10 +36,6 @@ class Graph:
     n: int
     adj: tuple[tuple[int, ...], ...]
 
-    @property
-    def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adj) // 2
-
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
 
@@ -215,7 +211,3 @@ def distance_matrix(g: Graph) -> tuple[tuple[int, ...], ...]:
 def count_p3(g: Graph) -> int:
     """Number of paths on three vertices: sum over v of C(deg(v), 2)."""
     return sum(comb(len(nbrs), 2) for nbrs in g.adj)
-
-
-def is_tree(g: Graph) -> bool:
-    return g.edge_count == g.n - 1 and min(_bfs_distances(g, 0)) >= 0

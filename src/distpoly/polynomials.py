@@ -227,18 +227,18 @@ def tree_traces(parent) -> tuple[int, int, int]:
     """(tr(D^2), tr(D^3), diameter) of a tree from its preorder parent array.
 
     D is never formed. Each row of D, D^2 and D^3 is one int, its value at
-    X = 2^b: R_i = sum_j d(i, j) X^j. In preorder the subtree of i is the
-    index range [i, end_i), and d(i, j) = d(p, j) + 1 - 2 [j in subtree(i)]
-    for the parent p of i, so R_i = R_p + ones - 2 range(i, end_i). For
-    any rows M_j, row i of D M is sum_j d(i, j) M_j, and the same
-    recurrence turns it into (DM)_i = (DM)_p + total - 2 sub_i, where
-    total sums every M_j and sub_i sums M_j over the subtree of i. Applied
-    to the rows of D and then of D^2, it gives D^2 and D^3, and each trace
-    sums digit i of row i. The diameter is the largest digit of R_far for
-    a deepest vertex far, since a vertex farthest from the root ends a
-    longest path.
+    X = 2^b: row i of a matrix M is sum_j M_ij X^j. For any rows M_j,
+    row i of D M is sum_j d(i, j) M_j. In preorder the subtree of i is an
+    index range, and d(i, j) = d(p, j) + 1 - 2 [j in subtree(i)] for the
+    parent p of i, so (DM)_i = (DM)_p + total - 2 sub_i, where total sums
+    every M_j and sub_i sums M_j over the subtree of i; the root's row is
+    sum_j depth_j M_j. That one step, applied three times from the
+    identity rows X^j, gives the rows of D, then D^2, then D^3, and each
+    trace sums digit i of row i. The diameter is the largest digit of the
+    row of D at a deepest vertex, since a vertex farthest from the root
+    ends a longest path.
 
-    All of it is O(n) big-int additions, against the O(n^3) of
+    All of it is O(n) big-int additions per step, against the O(n^3) of
     trace_power on D. It uses only the path metric, not the Laplacian
     identity behind tree_charpoly, so the trace identities check that
     kernel independently. Every int here is a polynomial in X with
@@ -254,26 +254,16 @@ def tree_traces(parent) -> tuple[int, int, int]:
     n = len(parent)
     b = (n ** 5).bit_length() + 1
     mask = (1 << b) - 1
-    prefix = [0]  # prefix[k] = X^0 + ... + X^(k-1)
-    for k in range(n):
-        prefix.append(prefix[k] + (1 << k * b))
-    ones = prefix[n]
-    size = [1] * n
-    for i in range(n - 1, 0, -1):
-        size[parent[i]] += size[i]
-    R = [sum(d << j * b for j, d in enumerate(depth))] * n
-    for i in range(1, n):
-        R[i] = R[parent[i]] + ones - 2 * (prefix[i + size[i]] - prefix[i])
-    traces = []
-    rows = R
-    for _ in range(2):  # rows of D^2, then of D^3
+    rows = [1 << j * b for j in range(n)]  # the identity
+    powers = []
+    for _ in range(3):  # rows of D, then of D^2, then of D^3
         sub = rows[:]
         for i in range(n - 1, 0, -1):
             sub[parent[i]] += sub[i]
-        product = [sum(map(mul, depth, rows))] * n
+        rows = [sum(map(mul, depth, rows))] * n
         for i in range(1, n):
-            product[i] = product[parent[i]] + sub[0] - 2 * sub[i]
-        traces.append(sum((row >> i * b) & mask for i, row in enumerate(product)))
-        rows = product
-    far = R[depth.index(max(depth))]
-    return traces[0], traces[1], max((far >> j * b) & mask for j in range(n))
+            rows[i] = rows[parent[i]] + sub[0] - 2 * sub[i]
+        powers.append(rows)
+    tr2, tr3 = (sum((row >> i * b) & mask for i, row in enumerate(p)) for p in powers[1:])
+    far = powers[0][depth.index(max(depth))]
+    return tr2, tr3, max((far >> j * b) & mask for j in range(n))

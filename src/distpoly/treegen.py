@@ -9,15 +9,18 @@ then size, then lexicographic order), so every isomorphism class produces
 exactly one sequence.
 
 Sequences are generated in decreasing lexicographic order starting from
-the center-rooted path. Whenever a candidate fails the canonicity test,
-every sequence sharing its first root subtree fails too, so the generator
-skips the whole block by rewriting the sequence at the subtree's last
-vertex. That is not constant amortized time per tree: the candidates
-rejected near the start of each order's stream grow roughly 2.5x per
-order (7,865 before the first 100 trees at order 14, 48,157 at order 16,
-262,848 at order 18), so the start of the stream dominates at large
-orders. ROADMAP.md item 2 plans to remove the rejections with the
-successor rule of Wright, Richmond, Odlyzko and McKay.
+the center-rooted path. Each candidate is split once into its first root
+subtree and the rest, and the canonicity test is one tuple comparison,
+(height, size, sequence) of the subtree against the same of the rest.
+Whenever a candidate fails it, every sequence sharing its first root
+subtree fails too, so the generator skips the whole block by rewriting
+the sequence at the subtree's last vertex. That is not constant amortized
+time per tree: the candidates rejected near the start of each order's
+stream grow roughly 2.5x per order (7,865 before the first 100 trees at
+order 14, 48,157 at order 16, 262,848 at order 18), so the start of the
+stream dominates at large orders. ROADMAP.md item 2 plans to remove the
+rejections with the successor rule of Wright, Richmond, Odlyzko and
+McKay.
 """
 
 from __future__ import annotations
@@ -79,16 +82,6 @@ def _split(seq: list[int]) -> tuple[list[int], list[int]]:
     return left, rest
 
 
-def _is_canonical_free(seq: list[int]) -> bool:
-    left, rest = _split(seq)
-    height_left, height_rest = max(left), max(rest)
-    if height_left != height_rest:
-        return height_left < height_rest
-    if len(left) != len(rest):
-        return len(left) < len(rest)
-    return left <= rest
-
-
 def _level_sequences(n: int) -> Iterator[list[int]]:
     if n <= 2:
         yield list(range(n))
@@ -97,11 +90,13 @@ def _level_sequences(n: int) -> Iterator[list[int]]:
     while seq is not None:
         yield seq
         seq = _rooted_successor(seq)
-        while seq is not None and not _is_canonical_free(seq):
-            # every sequence with this first root subtree is also invalid;
+        while seq is not None:
+            left, rest = _split(seq)
+            if (max(left), len(left), left) <= (max(rest), len(rest), rest):
+                break
+            # every sequence with this first root subtree is also rejected;
             # len(left) is the index of the subtree's last vertex, whose
             # depth is >= 2 whenever the test fails
-            left, _ = _split(seq)
             seq = _successor_at(seq, len(left))
 
 

@@ -2,9 +2,10 @@
 
 Nothing here reuses the package's canonical form or generation machinery:
 trees come from Prufer codes, isomorphism classes from a center-rooted
-AHU encoding, subgraph counts from explicit triple enumeration and
-determinants from Bareiss elimination. The one exception is scaled_poly,
-which rescales the package's Berkowitz polynomial.
+AHU encoding, subgraph counts from explicit triple enumeration,
+determinants from Bareiss elimination and free-tree canonicity from the
+spelled-out height, size, order cascade. The one exception is
+scaled_poly, which rescales the package's Berkowitz polynomial.
 """
 
 from __future__ import annotations
@@ -198,6 +199,27 @@ def random_connected_adj(rng, n: int, extra_edges: int = 0) -> list[list[int]]:
         adj[u].append(v)
         adj[v].append(u)
     return adj
+
+
+def is_canonical_free(seq) -> bool:
+    """Whether a rooted level sequence is the canonical rooting of its free tree.
+
+    The cascade of Beyer and Hedetniemi, spelled out: split the sequence
+    at the root's second child into the first root subtree (depths less
+    one) and the rest; the rooting is canonical when the subtree is lower
+    than the rest, or as high and smaller, or as high, as large and
+    lexicographically no greater. A single vertex has no root subtree.
+    """
+    if len(seq) < 2:
+        return True
+    m = next((i for i in range(2, len(seq)) if seq[i] == 1), len(seq))
+    left = [d - 1 for d in seq[1:m]]
+    rest = [0] + list(seq[m:])
+    if max(left) != max(rest):
+        return max(left) < max(rest)
+    if len(left) != len(rest):
+        return len(left) < len(rest)
+    return left <= rest
 
 
 def evaluate(coeffs, t: int) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import signal
 import subprocess
@@ -150,6 +151,14 @@ class TestEnumerateCommand:
         code, out, _ = run_cli(capsys, "enumerate", "--order", "4", "--emit", "parents")
         assert code == 0
         assert out.splitlines() == ["-1 0 1 0", "-1 0 0 0"]
+
+    def test_order_15_parents_stream_pinned(self, capsys):
+        # tree ids are stream positions, so the stream is part of the output
+        code, out, _ = run_cli(capsys, "enumerate", "--order", "15", "--emit", "parents")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "1558e7b5441bf47242c638205258bc4df3d14326d04bf03cc40ddbf3515724cb"
+        )
 
     def test_edgelist_stream(self, capsys):
         code, out, _ = run_cli(capsys, "enumerate", "--order", "3")

@@ -33,7 +33,7 @@ class TestFromEdgeList:
     def test_header_alone_gives_edgeless_graph(self):
         g = graphs.from_edge_list("n=1")
         assert g.n == 1
-        assert g.edge_count == 0
+        assert len(g.edges()) == 0
 
     def test_header_too_small(self):
         with pytest.raises(graphs.GraphStructureError, match="out of range"):
@@ -117,14 +117,14 @@ class TestGraph6:
         adj = oracles.random_connected_adj(random.Random(3), 70)
         g = graphs.from_graph6(oracles.graph6_encode(adj))
         assert g.n == 70
-        assert g.edge_count == 69
+        assert len(g.edges()) == 69
 
 
 class TestHeawood:
     def test_basic_counts(self):
         g = graphs.heawood()
         assert g.n == 14
-        assert g.edge_count == 21
+        assert len(g.edges()) == 21
         assert all(len(g.adj[v]) == 3 for v in range(14))
 
     def test_diameter(self):
@@ -223,12 +223,6 @@ class TestMetrics:
                 n, [(u, v) for u in range(n) for v in adj[u] if u < v]
             )
             assert graphs.count_p3(g) == oracles.count_p3_subgraphs(adj)
-
-    def test_is_tree(self):
-        assert graphs.is_tree(graphs.path_graph(3))
-        assert not graphs.is_tree(graphs.heawood())
-        assert graphs.is_tree(graphs.graph_from_edges(1, []))
-        assert not graphs.is_tree(graphs.graph_from_edges(4, [(0, 1), (2, 3)]))
 
 
 class TestConstruction:

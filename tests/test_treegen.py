@@ -4,7 +4,6 @@ import pytest
 
 import oracles
 from distpoly import graphs, treegen
-from distpoly.graphs import is_tree
 
 # free-tree counts for orders 1..14
 KNOWN_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159]
@@ -45,11 +44,22 @@ class TestStreamProperties:
             assert all(0 <= tree.parent[i] < i for i in range(1, 9))
             g = treegen.to_graph(tree)
             assert g.n == 9
-            assert is_tree(g)
+            treegen.preorder_parents(g)  # raises ValueError unless g is a tree
 
     def test_order_7_trees_have_six_edges(self):
         for tree in treegen.enumerate_trees(7):
-            assert treegen.to_graph(tree).edge_count == 6
+            assert len(treegen.to_graph(tree).edges()) == 6
+
+    def test_stream_is_filtered_rooted_stream(self):
+        """The skips drop exactly the non-canonical rooted sequences, in order."""
+        for n in range(1, 15):
+            rooted = []
+            seq = treegen._start_sequence(n)
+            while seq is not None:
+                rooted.append(seq)
+                seq = treegen._rooted_successor(seq)
+            expected = [s for s in rooted if oracles.is_canonical_free(s)]
+            assert list(treegen._level_sequences(n)) == expected
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_matches_prufer_census(self, n):
