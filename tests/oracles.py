@@ -3,8 +3,9 @@
 Nothing here reuses the package's canonical form or generation machinery:
 trees come from Prufer codes, isomorphism classes from a center-rooted
 AHU encoding, subgraph counts from explicit triple enumeration,
-determinants from Bareiss elimination and free-tree canonicity from the
-spelled-out height, size, order cascade. The one exception is
+determinants from Bareiss elimination, free-tree canonicity from the
+spelled-out height, size, order cascade and the free-tree stream from
+plain generate-and-reject. The one exception is
 scaled_poly, which rescales the package's Berkowitz polynomial.
 """
 
@@ -220,6 +221,52 @@ def is_canonical_free(seq) -> bool:
     if len(left) != len(rest):
         return len(left) < len(rest)
     return left <= rest
+
+
+def _lowered_at(seq: list[int], p: int) -> list[int]:
+    # lex-next rooted sequence lowering position p by one: repeat the segment
+    # from p's parent position up to p cyclically
+    q = p - 1
+    while seq[q] != seq[p] - 1:
+        q -= 1
+    out = seq[:p]
+    for i in range(p, len(seq)):
+        out.append(out[i - (p - q)])
+    return out
+
+
+def _split_at_second_child(seq: list[int]) -> tuple[list[int], list[int]]:
+    m = next((i for i in range(2, len(seq)) if seq[i] == 1), len(seq))
+    return [d - 1 for d in seq[1:m]], [0] + seq[m:]
+
+
+def level_sequences_by_rejection(n: int):
+    """Free-tree level sequences by generate-and-reject, in stream order.
+
+    The Beyer-Hedetniemi rooted stream from the center-rooted path down,
+    keeping each candidate whose first root subtree passes the (height,
+    size, sequence) test; a rejected candidate skips only the block of
+    candidates that share its first root subtree, never cutting that
+    subtree short.
+    """
+    if n <= 2:
+        yield list(range(n))
+        return
+    seq = list(range(n // 2 + 1)) + list(range(1, n - n // 2))
+    while True:
+        yield seq
+        p = n - 1
+        while p > 0 and seq[p] < 2:
+            p -= 1
+        if p == 0:
+            return  # the star is last
+        seq = _lowered_at(seq, p)
+        while True:
+            left, rest = _split_at_second_child(seq)
+            if (max(left), len(left), left) <= (max(rest), len(rest), rest):
+                break
+            # every candidate with this first root subtree fails too
+            seq = _lowered_at(seq, len(left))
 
 
 def evaluate(coeffs, t: int) -> int:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -60,6 +61,31 @@ class TestStreamProperties:
                 seq = treegen._rooted_successor(seq)
             expected = [s for s in rooted if oracles.is_canonical_free(s)]
             assert list(treegen._level_sequences(n)) == expected
+
+    @pytest.mark.parametrize("n", range(1, 19))
+    def test_stream_matches_rejection_oracle(self, n):
+        """The cut jumps only over candidates that plain generate-and-reject drops."""
+        pairs = itertools.zip_longest(
+            treegen._level_sequences(n), oracles.level_sequences_by_rejection(n)
+        )
+        for i, (got, want) in enumerate(pairs):
+            assert got == want, f"order {n}, sequence {i}"
+
+    def test_rejects_at_most_half_the_trees(self, monkeypatch):
+        """Each rejected candidate calls _skip once; without the cut, 3.7 per tree at 15."""
+        rejects = 0
+        skip = treegen._skip
+
+        def counting_skip(*args):
+            nonlocal rejects
+            rejects += 1
+            return skip(*args)
+
+        monkeypatch.setattr(treegen, "_skip", counting_skip)
+        for n in range(3, 19):
+            rejects = 0
+            trees = sum(1 for _ in treegen._level_sequences(n))
+            assert rejects <= trees / 2, f"order {n}: {rejects} rejects, {trees} trees"
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_matches_prufer_census(self, n):
