@@ -2,13 +2,13 @@
 
 analyze_tree runs the full pipeline (characteristic polynomial, trace
 identities, coefficient sequences, predicates, bounds) on a tree given
-as a preorder parent array, with the packed tree kernels and no distance
-matrix. analyze_graph takes any connected graph: it relabels a tree and
-hands it to analyze_tree, and gives every other graph BFS distances and
-Berkowitz; both paths share one report builder. verify_range streams
-every free tree of orders 3..n_max through analyze_tree, optionally on a
-worker pool, and folds the results into an aggregate whose content is
-independent of the worker count.
+as a parent array, each parent labeled before its child, with the packed
+tree kernels and no distance matrix. analyze_graph takes any connected
+graph: it relabels a tree and hands it to analyze_tree, and gives every
+other graph BFS distances and Berkowitz; both paths share one report
+builder. verify_range streams every free tree of orders 3..n_max through
+analyze_tree, optionally on a worker pool, and folds the results into an
+aggregate whose content is independent of the worker count.
 
 JSON conventions: coefficient-sized integers are serialized as decimal
 strings because they outgrow 64-bit range quickly; dyadic rationals are
@@ -19,12 +19,11 @@ JSON numbers.
 from __future__ import annotations
 
 import time
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from math import comb
-from multiprocessing import Pool
 from typing import Callable
 
 from . import graphs, polynomials, sequences, treegen
@@ -108,11 +107,11 @@ class AggregateReport:
 
 
 def analyze_tree(parent, tree_id: int | None = None) -> TreeReport:
-    """Run the full pipeline on a tree given as a preorder parent array.
+    """Run the full pipeline on a tree given as a parent array.
 
-    parent[0] == -1 and each subtree is an index range, as enumerate_trees
-    and treegen.preorder_parents give it; no Graph or distance matrix is
-    built. Raises ValueError on any other array or an order below 3.
+    The array follows treegen.CanonicalTree.parent: parent[0] == -1 and
+    each parent before its child. No Graph or distance matrix is built.
+    Raises ValueError on any other array or an order below 3.
     """
     poly = polynomials.tree_charpoly(parent)
     tr2, tr3, diam = polynomials.tree_traces(parent)
@@ -312,6 +311,18 @@ def _chunked_args(n: int, want_per_tree: bool):
         start += _CHUNK_SIZE
 
 
+def _in_order(executor, chunks, ahead: int):
+    """_sweep_chunk results in chunk order, with at most `ahead` chunks in
+    flight, so that a large order is never queued whole."""
+    pending = deque()
+    for args in chunks:
+        pending.append(executor.submit(_sweep_chunk, args))
+        if len(pending) == ahead:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
 def verify_range(
     n_max: int,
     jobs: int = 1,
@@ -322,7 +333,8 @@ def verify_range(
     The aggregate content is identical for any `jobs` value: chunk results
     are merged with commutative operations and consumed in enumeration
     order. A per-order count mismatch against the independent counting
-    recurrence is an internal error and raises immediately.
+    recurrence is an internal error and raises immediately. Running out of
+    memory, an interrupt or a worker that dies raises SweepInterrupted.
     """
     if n_max < 3:
         raise ValueError("max order must be at least 3")
@@ -332,13 +344,20 @@ def verify_range(
     orders: dict[int, OrderStats] = {}
     violations: list[dict] = []
     want_per_tree = per_tree_sink is not None
-    pool = Pool(processes=jobs) if jobs > 1 else None
+    executor = None
+    interrupts = (MemoryError, KeyboardInterrupt)
+    if jobs > 1:
+        # imported only here: one job needs no pool, and the import slows every start
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+        executor = ProcessPoolExecutor(max_workers=jobs)
+        interrupts += (BrokenProcessPool,)
     try:
         for n in range(3, n_max + 1):
             stats = OrderStats(expected=treegen.tree_count_recurrence(n))
             chunks = _chunked_args(n, want_per_tree)
             results = (
-                pool.imap(_sweep_chunk, chunks) if pool else map(_sweep_chunk, chunks)
+                _in_order(executor, chunks, 2 * jobs) if executor else map(_sweep_chunk, chunks)
             )
             for part, part_violations, items in results:
                 stats.merge(part)
@@ -351,16 +370,15 @@ def verify_range(
                     f"trees but the counting recurrence gives {stats.expected}"
                 )
             orders[n] = stats
-    except (MemoryError, KeyboardInterrupt) as exc:
+    except interrupts as exc:
         done = sum(s.trees for s in orders.values())
         raise SweepInterrupted(
             f"sweep aborted after {done} trees; orders {sorted(orders)} completed",
             sorted(orders),
         ) from exc
     finally:
-        if pool is not None:
-            pool.terminate()
-            pool.join()
+        if executor is not None:
+            executor.shutdown(cancel_futures=True)
     return AggregateReport(
         max_order=n_max,
         orders=orders,

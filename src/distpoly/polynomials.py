@@ -7,8 +7,9 @@ built on Graham and Lovasz's closed form for the inverse distance matrix,
 which packs each polynomial into one Python int (Kronecker substitution)
 so that its products run as C-level big-integer multiplies; the tests
 check both against an independent Bareiss determinant (tests/oracles.py).
-Trees enter as preorder parent arrays, and tree_traces packs their
-distance rows the same way, so no tree ever forms its distance matrix.
+Trees enter as parent arrays that label each parent before its child,
+and tree_traces packs their distance rows the same way, so no tree ever
+forms its distance matrix.
 Normalized coefficients are ints wherever they are integral, which they
 are for every tree, so only non-trees ever build a Fraction.
 """
@@ -73,12 +74,13 @@ def charpoly(matrix) -> CharPoly:
     return CharPoly(n, tuple(coeffs))
 
 
-def _preorder_depths(parent) -> list[int]:
-    """Vertex depths of a preorder parent array of order at least 3.
+def _depths(parent) -> list[int]:
+    """Vertex depths of a parent array of order at least 3.
 
-    Raises ValueError unless parent[0] == -1 and each parent[i] lies on
-    the path from the root to vertex i - 1, which holds exactly when the
-    labels are a preorder, so that every subtree is an index range.
+    Raises ValueError unless parent[0] == -1 and 0 <= parent[i] < i for
+    every other i. Parent before child is all the tree kernels need: each
+    of their passes runs leaf to root, so a child is folded in before its
+    parent, or root to leaf, so a parent's row is ready before its child's.
     """
     n = len(parent)
     if n < 3:
@@ -86,22 +88,16 @@ def _preorder_depths(parent) -> list[int]:
     if parent[0] != -1:
         raise ValueError("parent[0] must be -1, the root")
     depth = [0] * n
-    path = [0]  # path[k] = the depth-k vertex on the path from the root to i - 1
     for i in range(1, n):
         p = parent[i]
         if not 0 <= p < i:
             raise ValueError(f"parent[{i}] = {p} is not a vertex before {i}")
-        d = depth[p] + 1
-        if d > len(path) or path[d - 1] != p:
-            raise ValueError(f"parent array is not a preorder: parent[{i}] = {p}")
-        del path[d:]
-        path.append(i)
-        depth[i] = d
+        depth[i] = depth[p] + 1
     return depth
 
 
 def tree_charpoly(parent) -> CharPoly:
-    """det(xI - D) of a tree from its preorder parent array; D is never formed.
+    """det(xI - D) of a tree from its parent array; D is never formed.
 
     Graham and Lovasz give D^-1 = -L/2 + tau tau^T / (2(n-1)) with
     tau_v = 2 - deg v, so the matrix determinant lemma yields
@@ -130,12 +126,12 @@ def tree_charpoly(parent) -> CharPoly:
     difference of two nonnegative terms, so below n^2 4^n in absolute
     value.
 
-    parent[0] == -1 marks the root and every other parent[i] < i, with
-    the labels in preorder (as enumerate_trees and
-    treegen.preorder_parents give them); raises ValueError otherwise or
-    when the order is below 3.
+    parent[0] == -1 marks the root and every other parent[i] < i, so each
+    parent comes before its child (enumerate_trees and
+    treegen.preorder_parents give preorder, one such labeling); raises
+    ValueError otherwise or when the order is below 3.
     """
-    _preorder_depths(parent)
+    _depths(parent)
     n = len(parent)
     degree = [1] * n
     degree[0] = 0
@@ -224,19 +220,19 @@ def trace_power(matrix) -> tuple[int, int]:
 
 
 def tree_traces(parent) -> tuple[int, int, int]:
-    """(tr(D^2), tr(D^3), diameter) of a tree from its preorder parent array.
+    """(tr(D^2), tr(D^3), diameter) of a tree from its parent array.
 
     D is never formed. Each row of D, D^2 and D^3 is one int, its value at
     X = 2^b: row i of a matrix M is sum_j M_ij X^j. For any rows M_j,
-    row i of D M is sum_j d(i, j) M_j. In preorder the subtree of i is an
-    index range, and d(i, j) = d(p, j) + 1 - 2 [j in subtree(i)] for the
-    parent p of i, so (DM)_i = (DM)_p + total - 2 sub_i, where total sums
-    every M_j and sub_i sums M_j over the subtree of i; the root's row is
-    sum_j depth_j M_j. That one step, applied three times from the
-    identity rows X^j, gives the rows of D, then D^2, then D^3, and each
-    trace sums digit i of row i. The diameter is the largest digit of the
-    row of D at a deepest vertex, since a vertex farthest from the root
-    ends a longest path.
+    row i of D M is sum_j d(i, j) M_j. For the parent p of i,
+    d(i, j) = d(p, j) + 1 - 2 [j in subtree(i)], so
+    (DM)_i = (DM)_p + total - 2 sub_i, where total sums every M_j and
+    sub_i sums M_j over the subtree of i, accumulated leaf to root; the
+    root's row is sum_j depth_j M_j. That one step, applied three times
+    from the identity rows X^j, gives the rows of D, then D^2, then D^3,
+    and each trace sums digit i of row i. The diameter is the largest
+    digit of the row of D at a deepest vertex, since a vertex farthest
+    from the root ends a longest path.
 
     All of it is O(n) big-int additions per step, against the O(n^3) of
     trace_power on D. It uses only the path metric, not the Laplacian
@@ -247,10 +243,10 @@ def tree_traces(parent) -> tuple[int, int, int]:
     sums of n terms d(i, j) (D^2)_jk, each below n * n^3, so below
     n^5 < X = 2^(bitlen(n^5) + 1).
 
-    Takes the same preorder parent arrays as tree_charpoly and raises
-    ValueError on the same malformed inputs.
+    Takes the same parent arrays as tree_charpoly and raises ValueError
+    on the same malformed inputs.
     """
-    depth = _preorder_depths(parent)
+    depth = _depths(parent)
     n = len(parent)
     b = (n ** 5).bit_length() + 1
     mask = (1 << b) - 1

@@ -128,8 +128,8 @@ def to_graph(tree: CanonicalTree) -> Graph:
 def preorder_parents(g: Graph) -> tuple[int, ...]:
     """Parent array of a tree, relabeled by a depth-first preorder from 0.
 
-    parent[0] == ROOT and every subtree is an index range, the form the
-    tree kernels in polynomials take. Raises ValueError unless g is a tree.
+    parent[0] == ROOT and each parent comes before its child, as the tree
+    kernels in polynomials need. Raises ValueError unless g is a tree.
     """
     n = g.n
     label = [-1] * n

@@ -50,6 +50,32 @@ def random_tree_adj(rng, n: int) -> list[list[int]]:
     return prufer_decode([rng.randrange(n) for _ in range(n - 2)], n)
 
 
+def random_bfs_parents(rng, parent) -> tuple[int, ...]:
+    """The tree of a parent array, relabeled in BFS order from a random root.
+
+    Children are visited in random order, so every parent still comes
+    before its child, but most subtrees are no longer index ranges.
+    """
+    n = len(parent)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for v in range(1, n):
+        adj[v].append(parent[v])
+        adj[parent[v]].append(v)
+    root = rng.randrange(n)
+    label = {root: 0}
+    relabeled = [-1]
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        children = [w for w in adj[v] if w not in label]
+        rng.shuffle(children)
+        for w in children:
+            label[w] = len(relabeled)
+            relabeled.append(label[v])
+            queue.append(w)
+    return tuple(relabeled)
+
+
 def ahu_form(adj) -> tuple:
     """Canonical nested-tuple encoding of a free tree, rooted at a center.
 

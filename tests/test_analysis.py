@@ -1,7 +1,13 @@
+import os
 import random
+import signal
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import oracles
 from distpoly import analysis, graphs, sequences, treegen
 
 
@@ -64,6 +70,13 @@ class TestAnalyzeTree:
                     n, [(labels[tree.parent[i]], labels[i]) for i in range(1, n)]
                 )
                 assert analysis.analyze_graph(g) == analysis.analyze_tree(tree.parent)
+
+    def test_random_bfs_relabelings_through_order_12(self):
+        rng = random.Random(89)
+        for n in range(3, 13):
+            for tree in treegen.enumerate_trees(n):
+                relabeled = oracles.random_bfs_parents(rng, tree.parent)
+                assert analysis.analyze_tree(relabeled) == analysis.analyze_tree(tree.parent)
 
     def test_tree_id_carried(self):
         report = analysis.analyze_tree((-1, 0, 1, 1), tree_id=5)
@@ -154,18 +167,56 @@ class TestVerifyRange:
         assert all(item["failed"] == ["unimodal"] for item in report.violations)
         assert all(item["checks"]["unimodal"] is False for item in report.violations)
 
-    def test_interruption_reports_partial_progress(self, monkeypatch):
+    @pytest.mark.parametrize("interrupt", [MemoryError, KeyboardInterrupt])
+    def test_interruption_reports_partial_progress(self, monkeypatch, interrupt):
         real = treegen.enumerate_trees
 
         def exploding(n):
             if n == 5:
-                raise MemoryError("simulated exhaustion")
+                raise interrupt("simulated")
             return real(n)
 
         monkeypatch.setattr(analysis.treegen, "enumerate_trees", exploding)
         with pytest.raises(analysis.SweepInterrupted) as err:
             analysis.verify_range(6)
         assert err.value.completed_orders == [3, 4]
+
+    def test_dead_worker_interrupts_instead_of_hanging(self):
+        # in a child interpreter with a timeout, so that a hang fails the test
+        script = textwrap.dedent(
+            """
+            import multiprocessing, os, signal
+            from distpoly import analysis
+
+            def kill_a_worker(item):
+                # order 13 spans six chunks, so both workers hold one here
+                if (item["n"], item["id"]) == (13, 0):
+                    os.kill(multiprocessing.active_children()[0].pid, signal.SIGKILL)
+
+            try:
+                analysis.verify_range(14, jobs=2, per_tree_sink=kill_a_worker)
+            except analysis.SweepInterrupted:
+                print("interrupted")
+            print(len(multiprocessing.active_children()), "children left")
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            out, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("sweep hung after a worker was killed")
+        assert proc.returncode == 0, err
+        assert out == "interrupted\n0 children left\n"
 
 
 class TestSlackBookkeeping:

@@ -147,14 +147,34 @@ class TestTreeTraces:
             (-1, 0, 2),
             (-1, 0, 3),
             (-1, 0, -1),
-            # parent[i] < i, but vertex 3's parent 1 is off the path to 2
-            (-1, 0, 0, 1),
         ],
     )
     @pytest.mark.parametrize("kernel", [polynomials.tree_charpoly, polynomials.tree_traces])
     def test_malformed_parent_rejected(self, kernel, parent):
         with pytest.raises(ValueError):
             kernel(parent)
+
+
+class TestParentBeforeChild:
+    """Both tree kernels on labelings that are not preorders."""
+
+    def test_random_bfs_relabelings_through_order_12(self):
+        rng = random.Random(97)
+        for n in range(3, 13):
+            for tree in treegen.enumerate_trees(n):
+                parent = oracles.random_bfs_parents(rng, tree.parent)
+                g = graphs.graph_from_edges(n, [(parent[i], i) for i in range(1, n)])
+                assert polynomials.tree_charpoly(parent) == polynomials.charpoly(
+                    graphs.distance_matrix(g)
+                )
+                assert polynomials.tree_traces(parent) == TestTreeTraces.expected(g)
+
+    def test_path_with_subtree_after_sibling(self):
+        # vertex 3 hangs off 1 after the subtree of 2: the path 3-1-0-2
+        parent = (-1, 0, 0, 1)
+        g = graphs.path_graph(4)
+        assert polynomials.tree_charpoly(parent) == polynomials.charpoly(graphs.distance_matrix(g))
+        assert polynomials.tree_traces(parent) == TestTreeTraces.expected(g)
 
 
 class TestDetAt:
