@@ -25,9 +25,6 @@ from .graphs import (
     from_graph6,
     graph_from_edges,
     heawood,
-    path_graph,
-    star_graph,
-    to_edge_list,
 )
 from .polynomials import (
     CharPoly,

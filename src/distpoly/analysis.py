@@ -167,13 +167,10 @@ def _report(
 
     bounds: sequences.BoundSet | None = None
     if tree:
-        sign = 1 if (n - 1) % 2 == 0 else -1
-        checks["sign_pattern"] = all(
-            sign * delta[k] > 0 for k in range(n - 1)
-        )
-        checks["divisibility"] = all(
-            delta[k] % (1 << (n - k - 2)) == 0 for k in range(n - 1)
-        )
+        # (-1)^(n-1) delta_k = -c_k, and normalized_seq gives d_k as an int
+        # exactly when 2^(n-k-2) divides delta_k
+        checks["sign_pattern"] = all(c < 0 for c in poly.coeffs[: n - 1])
+        checks["divisibility"] = not any(isinstance(x, Fraction) for x in d)
         checks["d0_formula"] = d[0] == n - 1
         checks["d1_formula"] = d[1] == 2 * n * (n - 1) - 2 * p3 - 4
         checks["ratio_bound"] = sequences.ratio_bound_check(d, diam)
@@ -311,6 +308,24 @@ def _chunked_args(n: int, want_per_tree: bool):
         start += _CHUNK_SIZE
 
 
+def _worker_init() -> None:
+    """Pool worker set-up: Ctrl-C is left to the main process, and the
+    worker exits as soon as the main process is gone, even if killed."""
+    # imported here: only pool workers run this, and one job needs no pool
+    import multiprocessing
+    import os
+    import signal
+    import threading
+    from multiprocessing.connection import wait
+
+    def exit_with_parent() -> None:
+        wait([multiprocessing.parent_process().sentinel])
+        os._exit(1)
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    threading.Thread(target=exit_with_parent, daemon=True).start()
+
+
 def _in_order(executor, chunks, ahead: int):
     """_sweep_chunk results in chunk order, with at most `ahead` chunks in
     flight, so that a large order is never queued whole."""
@@ -335,6 +350,7 @@ def verify_range(
     order. A per-order count mismatch against the independent counting
     recurrence is an internal error and raises immediately. Running out of
     memory, an interrupt or a worker that dies raises SweepInterrupted.
+    While the worker pool shuts down, the main thread ignores Ctrl-C.
     """
     if n_max < 3:
         raise ValueError("max order must be at least 3")
@@ -348,9 +364,11 @@ def verify_range(
     interrupts = (MemoryError, KeyboardInterrupt)
     if jobs > 1:
         # imported only here: one job needs no pool, and the import slows every start
+        import signal
+        import threading
         from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-        executor = ProcessPoolExecutor(max_workers=jobs)
+        executor = ProcessPoolExecutor(max_workers=jobs, initializer=_worker_init)
         interrupts += (BrokenProcessPool,)
     try:
         for n in range(3, n_max + 1):
@@ -378,7 +396,15 @@ def verify_range(
         ) from exc
     finally:
         if executor is not None:
-            executor.shutdown(cancel_futures=True)
+            # a second Ctrl-C must not break off the shutdown that ends the workers
+            on_main = threading.current_thread() is threading.main_thread()
+            if on_main:
+                previous = signal.signal(signal.SIGINT, signal.SIG_IGN)
+            try:
+                executor.shutdown(cancel_futures=True)
+            finally:
+                if on_main:
+                    signal.signal(signal.SIGINT, previous)
     return AggregateReport(
         max_order=n_max,
         orders=orders,

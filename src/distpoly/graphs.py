@@ -108,13 +108,6 @@ def from_edge_list(text: str) -> Graph:
     return graph_from_edges(n, edges)
 
 
-def to_edge_list(g: Graph) -> str:
-    """Serialize as an edge-list document that from_edge_list round-trips."""
-    lines = [f"n={g.n}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
-
-
 _GRAPH6_HEADER = ">>graph6<<"
 
 
@@ -171,15 +164,6 @@ def heawood() -> Graph:
     edges = [(i, (i + 1) % 14) for i in range(14)]
     edges.extend((i, (i + 5) % 14) for i in range(0, 14, 2))
     return graph_from_edges(14, edges)
-
-
-def path_graph(n: int) -> Graph:
-    return graph_from_edges(n, ((i, i + 1) for i in range(n - 1)))
-
-
-def star_graph(n: int) -> Graph:
-    """Star on n vertices with center 0."""
-    return graph_from_edges(n, ((0, i) for i in range(1, n)))
 
 
 def _bfs_distances(g: Graph, source: int) -> list[int]:

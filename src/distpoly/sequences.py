@@ -35,17 +35,12 @@ def is_unimodal(seq) -> bool:
     values = list(seq)
     if not values:
         raise ValueError("empty sequence")
-    dip = None
-    for i in range(1, len(values)):
-        if values[i] < values[i - 1]:
-            dip = i
-            break
-    if dip is None:
-        return True
-    for j in range(dip, len(values) - 1):
-        if values[j + 1] > values[j]:
-            return False
-    return True
+    i = 1
+    while i < len(values) and values[i - 1] <= values[i]:
+        i += 1
+    while i < len(values) and values[i - 1] >= values[i]:
+        i += 1
+    return i == len(values)
 
 
 def is_log_concave(seq) -> bool:
@@ -64,19 +59,19 @@ def is_log_concave(seq) -> bool:
 
 
 def newton_check(coeffs) -> bool:
-    """Binomial-weighted log-concavity, satisfied by real-rooted polynomials.
+    """Newton's inequalities, satisfied by real-rooted polynomials.
 
-    For a_0..a_n, checks a_j^2 C(n,j+1) C(n,j-1) >= a_{j+1} a_{j-1} C(n,j)^2
-    for 1 <= j <= n-1 in exact arithmetic.
+    For a_0..a_n, checks a_j^2 j(n-j) >= a_{j-1} a_{j+1} (j+1)(n-j+1) for
+    1 <= j <= n-1 in exact arithmetic. This is the binomial form
+    a_j^2 C(n,j+1) C(n,j-1) >= a_{j-1} a_{j+1} C(n,j)^2 multiplied by the
+    positive (j+1)(n-j+1) / C(n,j)^2.
     """
     values = list(coeffs)
     if len(values) < 2:
         raise ValueError("need at least two coefficients")
     n = len(values) - 1
     for j in range(1, n):
-        lhs = values[j] * values[j] * comb(n, j + 1) * comb(n, j - 1)
-        rhs = values[j + 1] * values[j - 1] * comb(n, j) ** 2
-        if lhs < rhs:
+        if values[j] ** 2 * j * (n - j) < values[j - 1] * values[j + 1] * (j + 1) * (n - j + 1):
             return False
     return True
 

@@ -5,8 +5,10 @@ trees come from Prufer codes, isomorphism classes from a center-rooted
 AHU encoding, subgraph counts from explicit triple enumeration,
 determinants from Bareiss elimination, free-tree canonicity from the
 spelled-out height, size, order cascade and the free-tree stream from
-plain generate-and-reject. The one exception is
-scaled_poly, which rescales the package's Berkowitz polynomial.
+plain generate-and-reject, Newton's inequalities from their binomial
+form and unimodality by trying every peak. The one exception is scaled_poly, which rescales the package's
+Berkowitz polynomial. The path, the star and the edge-list writer are
+fixtures built on the package's Graph.
 """
 
 from __future__ import annotations
@@ -15,9 +17,27 @@ import heapq
 import itertools
 from collections import deque
 from fractions import Fraction
+from math import comb
 from multiprocessing import Pool
 
+from distpoly.graphs import Graph, graph_from_edges
 from distpoly.polynomials import charpoly
+
+
+def path_graph(n: int) -> Graph:
+    return graph_from_edges(n, ((i, i + 1) for i in range(n - 1)))
+
+
+def star_graph(n: int) -> Graph:
+    """Star on n vertices with center 0."""
+    return graph_from_edges(n, ((0, i) for i in range(1, n)))
+
+
+def to_edge_list(g: Graph) -> str:
+    """Serialize as an edge-list document that from_edge_list round-trips."""
+    lines = [f"n={g.n}"]
+    lines.extend(f"{u} {v}" for u, v in g.edges())
+    return "\n".join(lines) + "\n"
 
 
 def prufer_decode(code, n: int) -> list[list[int]]:
@@ -293,6 +313,26 @@ def level_sequences_by_rejection(n: int):
                 break
             # every candidate with this first root subtree fails too
             seq = _lowered_at(seq, len(left))
+
+
+def newton_binomial(coeffs) -> bool:
+    """Newton's inequalities in their binomial form: for a_0..a_n,
+    a_j^2 C(n,j+1) C(n,j-1) >= a_{j+1} a_{j-1} C(n,j)^2 for 1 <= j <= n-1."""
+    n = len(coeffs) - 1
+    return all(
+        coeffs[j] ** 2 * comb(n, j + 1) * comb(n, j - 1)
+        >= coeffs[j + 1] * coeffs[j - 1] * comb(n, j) ** 2
+        for j in range(1, n)
+    )
+
+
+def unimodal_by_definition(seq) -> bool:
+    """Some peak index splits seq into a nondecreasing and a nonincreasing part."""
+    return any(
+        all(seq[i] <= seq[i + 1] for i in range(peak))
+        and all(seq[i] >= seq[i + 1] for i in range(peak, len(seq) - 1))
+        for peak in range(len(seq))
+    )
 
 
 def evaluate(coeffs, t: int) -> int:

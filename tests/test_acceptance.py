@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s`. Criterion 4 (the full
-order-20 sweep) is opt-in via DISTPOLY_FULL_SWEEP=1 since it needs a
-couple of core-hours.
+order-20 sweep) is opt-in via DISTPOLY_FULL_SWEEP=1 since it takes about
+3 minutes on 2 workers.
 """
 
 import json
@@ -144,7 +144,7 @@ def test_criterion_4_paper_scale_sweep():
 
 def test_criterion_5_star_peaks():
     for n in range(3, 21):
-        report = analysis.analyze_graph(graphs.star_graph(n))
+        report = analysis.analyze_graph(oracles.star_graph(n))
         assert report.peak == sequences.PeakInterval(n // 2, n // 2), f"star order {n}"
         assert report.failed == ()
     print("ACCEPTANCE 5 PASS: star peak is (n//2, n//2) for all 3 <= n <= 20")
@@ -153,7 +153,7 @@ def test_criterion_5_star_peaks():
 def test_criterion_6_path_peak_trend():
     ratios = []
     for n in range(3, 41):
-        dm = graphs.distance_matrix(graphs.path_graph(n))
+        dm = graphs.distance_matrix(oracles.path_graph(n))
         d = polynomials.normalized_seq(polynomials.delta_seq(polynomials.charpoly(dm)))
         peak = sequences.peak_interval(d)
         lo, hi = sequences.conjecture_range(n)

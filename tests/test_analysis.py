@@ -3,17 +3,19 @@ import random
 import signal
 import subprocess
 import sys
+import tempfile
 import textwrap
+import time
 
 import pytest
 
 import oracles
-from distpoly import analysis, graphs, sequences, treegen
+from distpoly import analysis, graphs, polynomials, sequences, treegen
 
 
 class TestAnalyzeGraph:
     def test_p3(self):
-        report = analysis.analyze_graph(graphs.path_graph(3))
+        report = analysis.analyze_graph(oracles.path_graph(3))
         assert report.is_tree
         assert report.n == 3
         assert report.diameter == 2
@@ -27,7 +29,7 @@ class TestAnalyzeGraph:
         assert report.failed == ()
 
     def test_star6_peak(self):
-        report = analysis.analyze_graph(graphs.star_graph(6))
+        report = analysis.analyze_graph(oracles.star_graph(6))
         assert report.peak == sequences.PeakInterval(3, 3)
         assert report.failed == ()
 
@@ -45,7 +47,7 @@ class TestAnalyzeGraph:
 
     def test_small_order_rejected(self):
         with pytest.raises(ValueError):
-            analysis.analyze_graph(graphs.path_graph(2))
+            analysis.analyze_graph(oracles.path_graph(2))
 
     def test_disconnected_rejected(self):
         g = graphs.graph_from_edges(4, [(0, 1), (2, 3)])
@@ -53,7 +55,7 @@ class TestAnalyzeGraph:
             analysis.analyze_graph(g)
 
     def test_check_names_complete(self):
-        report = analysis.analyze_graph(graphs.path_graph(4))
+        report = analysis.analyze_graph(oracles.path_graph(4))
         assert tuple(report.checks) == analysis.CHECK_NAMES
 
 
@@ -83,6 +85,38 @@ class TestAnalyzeTree:
         assert report.tree_id == 5
         assert report.p3_count == 3
         assert report.diameter == 2
+
+
+class TestTreeChecks:
+    """_report on a tree's polynomial with one coefficient altered."""
+
+    PARENT = (-1, 0, 1, 1, 3, 4)
+
+    def report_with(self, k: int, value) -> analysis.TreeReport:
+        poly = polynomials.tree_charpoly(self.PARENT)
+        coeffs = list(poly.coeffs)
+        coeffs[k] = value(coeffs[k])
+        tr2, tr3, diam = polynomials.tree_traces(self.PARENT)
+        p3 = analysis.analyze_tree(self.PARENT).p3_count
+        altered = polynomials.CharPoly(poly.n, tuple(coeffs))
+        return analysis._report(None, True, diam, p3, altered, tr2, tr3)
+
+    def test_unaltered_polynomial_passes(self):
+        assert self.report_with(2, lambda c: c).failed == ()
+
+    @pytest.mark.parametrize("k", range(4))  # d_{n-2} = |delta_{n-2}| is always whole
+    def test_odd_delta_fails_divisibility(self, k):
+        report = self.report_with(k, lambda c: c - 1)  # c_k stays negative, delta_k odd
+        assert report.checks["divisibility"] is False
+        assert report.checks["sign_pattern"] is True
+        assert "divisibility" in report.failed
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_positive_coefficient_fails_sign_pattern(self, k):
+        report = self.report_with(k, abs)  # |delta_k|, and with it d, unchanged
+        assert report.checks["sign_pattern"] is False
+        assert report.checks["divisibility"] is True
+        assert "sign_pattern" in report.failed
 
 
 class TestRoundTrip:
@@ -182,8 +216,7 @@ class TestVerifyRange:
         assert err.value.completed_orders == [3, 4]
 
     def test_dead_worker_interrupts_instead_of_hanging(self):
-        # in a child interpreter with a timeout, so that a hang fails the test
-        script = textwrap.dedent(
+        code, out, err = run_child(
             """
             import multiprocessing, os, signal
             from distpoly import analysis
@@ -198,25 +231,100 @@ class TestVerifyRange:
             except analysis.SweepInterrupted:
                 print("interrupted")
             print(len(multiprocessing.active_children()), "children left")
-            """
+            """,
+            "sweep hung after a worker was killed",
         )
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        assert code == 0, err
+        assert out == "interrupted\n0 children left\n"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
+    def test_workers_exit_when_the_main_process_is_killed(self):
+        code, out, _ = run_child(
+            """
+            import multiprocessing, os, signal
+            from distpoly import analysis
+
+            def die_mid_sweep(item):
+                if (item["n"], item["id"]) == (13, 0):
+                    print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+                    os.kill(os.getpid(), signal.SIGKILL)
+
+            analysis.verify_range(14, jobs=2, per_tree_sink=die_mid_sweep)
+            """,
+            "sweep hung before its main process was killed",
+        )
+        assert code == -signal.SIGKILL
+        workers = [int(pid) for pid in out.split()]
+        assert len(workers) == 2
+        deadline = time.monotonic() + 10
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        left = [pid for pid in workers if running(pid)]
+        for pid in left:
+            os.kill(pid, signal.SIGKILL)
+        assert left == [], "pool workers outlived the main process"
+
+    def test_second_interrupt_during_shutdown_is_ignored(self):
+        code, out, err = run_child(
+            """
+            import os, signal
+            from concurrent.futures import ProcessPoolExecutor
+            from distpoly import analysis
+
+            real_shutdown = ProcessPoolExecutor.shutdown
+
+            def interrupted_shutdown(self, *args, **kwargs):
+                os.kill(os.getpid(), signal.SIGINT)  # a second Ctrl-C
+                real_shutdown(self, *args, **kwargs)
+
+            def first_interrupt(item):
+                raise KeyboardInterrupt
+
+            ProcessPoolExecutor.shutdown = interrupted_shutdown
+            try:
+                analysis.verify_range(8, jobs=2, per_tree_sink=first_interrupt)
+            except analysis.SweepInterrupted:
+                print("interrupted")
+            """,
+            "sweep hung in its shutdown",
+        )
+        assert (code, out, err) == (0, "interrupted\n", "")
+
+
+def run_child(script: str, hang_message: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of a script run in a child interpreter.
+
+    The output goes to files, not pipes, so that only the child is waited
+    for and not the processes it leaves behind; a run over 60 s fails the
+    test, so that a hang cannot stall the suite.
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
         proc = subprocess.Popen(
-            [sys.executable, "-c", script],
+            [sys.executable, "-c", textwrap.dedent(script)],
             env=env,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
+            stdout=out,
+            stderr=err,
             start_new_session=True,
         )
         try:
-            out, err = proc.communicate(timeout=60)
+            proc.wait(timeout=60)
         except subprocess.TimeoutExpired:
             os.killpg(proc.pid, signal.SIGKILL)
-            proc.communicate()
-            pytest.fail("sweep hung after a worker was killed")
-        assert proc.returncode == 0, err
-        assert out == "interrupted\n0 children left\n"
+            proc.wait()
+            pytest.fail(hang_message)
+        out.seek(0)
+        err.seek(0)
+        return proc.returncode, out.read(), err.read()
+
+
+def running(pid: int) -> bool:
+    """Whether a process exists and is not a zombie, read from /proc."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 class TestSlackBookkeeping:

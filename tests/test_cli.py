@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from distpoly import cli, graphs, treegen
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "goldens"
@@ -69,7 +70,7 @@ class TestCharpolyCommand:
             ("p3", "0 1\n1 2\n"),
             ("s6", "0 1\n0 2\n0 3\n0 4\n0 5\n"),
             ("k4", "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"),  # d_0 = 3/4
-            ("heawood", graphs.to_edge_list(graphs.heawood())),
+            ("heawood", oracles.to_edge_list(graphs.heawood())),
         ],
     )
     def test_payload_matches_analyze(self, capsys, tmp_path, name, text):

@@ -59,7 +59,7 @@ class TestFromEdgeList:
 
     def test_heawood_round_trip(self):
         g = graphs.heawood()
-        assert graphs.from_edge_list(graphs.to_edge_list(g)) == g
+        assert graphs.from_edge_list(oracles.to_edge_list(g)) == g
 
     def test_random_round_trips(self):
         rng = random.Random(7)
@@ -69,7 +69,7 @@ class TestFromEdgeList:
             g = graphs.graph_from_edges(
                 n, [(u, v) for u in range(n) for v in adj[u] if u < v]
             )
-            assert graphs.from_edge_list(graphs.to_edge_list(g)) == g
+            assert graphs.from_edge_list(oracles.to_edge_list(g)) == g
 
 
 class TestGraph6:
@@ -136,11 +136,11 @@ class TestHeawood:
 
 class TestDistanceMatrix:
     def test_p3(self):
-        dm = graphs.distance_matrix(graphs.path_graph(3))
+        dm = graphs.distance_matrix(oracles.path_graph(3))
         assert dm == ((0, 1, 2), (1, 0, 1), (2, 1, 0))
 
     def test_star4(self):
-        dm = graphs.distance_matrix(graphs.star_graph(4))
+        dm = graphs.distance_matrix(oracles.star_graph(4))
         for i in range(4):
             for j in range(4):
                 if i == j:
@@ -191,11 +191,11 @@ class TestDistanceMatrix:
 class TestMetrics:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_path_diameter(self, n):
-        assert max(map(max, graphs.distance_matrix(graphs.path_graph(n)))) == n - 1
+        assert max(map(max, graphs.distance_matrix(oracles.path_graph(n)))) == n - 1
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_star_diameter(self, n):
-        assert max(map(max, graphs.distance_matrix(graphs.star_graph(n)))) == 2
+        assert max(map(max, graphs.distance_matrix(oracles.star_graph(n)))) == 2
 
     def test_diameter_requires_connected(self):
         with pytest.raises(graphs.DisconnectedGraphError):
@@ -205,14 +205,14 @@ class TestMetrics:
     def test_count_p3_star(self, n):
         from math import comb
 
-        assert graphs.count_p3(graphs.star_graph(n)) == comb(n - 1, 2)
+        assert graphs.count_p3(oracles.star_graph(n)) == comb(n - 1, 2)
 
     @pytest.mark.parametrize("n", range(3, 10))
     def test_count_p3_path(self, n):
-        assert graphs.count_p3(graphs.path_graph(n)) == n - 2
+        assert graphs.count_p3(oracles.path_graph(n)) == n - 2
 
     def test_count_p3_smallest_path(self):
-        assert graphs.count_p3(graphs.path_graph(3)) == 1
+        assert graphs.count_p3(oracles.path_graph(3)) == 1
 
     def test_count_p3_matches_triple_enumeration(self):
         rng = random.Random(31)

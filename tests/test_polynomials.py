@@ -36,7 +36,7 @@ def tree_graph(rng, n):
 
 class TestCharpoly:
     def test_p3(self):
-        dm = graphs.distance_matrix(graphs.path_graph(3))
+        dm = graphs.distance_matrix(oracles.path_graph(3))
         assert polynomials.charpoly(dm).coeffs == (-4, -6, 0, 1)
 
     def test_zero_matrix(self):
@@ -84,8 +84,8 @@ class TestTreeCharpoly:
         # of the slot's 417 bits
         broom = [(i, i + 1) for i in range(n // 2)] + [(n // 2, v) for v in range(n // 2 + 1, n)]
         shapes = [
-            graphs.path_graph(n),
-            graphs.star_graph(n),
+            oracles.path_graph(n),
+            oracles.star_graph(n),
             graphs.graph_from_edges(n, broom),
             tree_graph(random.Random(n), n),
             tree_graph(random.Random(n + 1), n),
@@ -111,7 +111,7 @@ class TestTreeCharpoly:
     @pytest.mark.parametrize("n", [1, 2])
     def test_small_order_rejected(self, n):
         with pytest.raises(ValueError, match="order at least 3"):
-            polynomials.tree_charpoly(treegen.preorder_parents(graphs.path_graph(n)))
+            polynomials.tree_charpoly(treegen.preorder_parents(oracles.path_graph(n)))
 
 
 class TestTreeTraces:
@@ -131,7 +131,7 @@ class TestTreeTraces:
     def test_random_prufer_trees_orders_18_to_200(self):
         rng = random.Random(71)
         # the path and the star at 200 are the extremes for digit width
-        shapes = [graphs.path_graph(200), graphs.star_graph(200)]
+        shapes = [oracles.path_graph(200), oracles.star_graph(200)]
         shapes += [tree_graph(rng, n) for n in [*range(18, 60), 100, 200]]
         for g in shapes:
             assert polynomials.tree_traces(treegen.preorder_parents(g)) == self.expected(g)
@@ -172,14 +172,14 @@ class TestParentBeforeChild:
     def test_path_with_subtree_after_sibling(self):
         # vertex 3 hangs off 1 after the subtree of 2: the path 3-1-0-2
         parent = (-1, 0, 0, 1)
-        g = graphs.path_graph(4)
+        g = oracles.path_graph(4)
         assert polynomials.tree_charpoly(parent) == polynomials.charpoly(graphs.distance_matrix(g))
         assert polynomials.tree_traces(parent) == TestTreeTraces.expected(g)
 
 
 class TestDetAt:
     def test_p3_at_zero(self):
-        dm = graphs.distance_matrix(graphs.path_graph(3))
+        dm = graphs.distance_matrix(oracles.path_graph(3))
         assert oracles.det_at(dm, 0) == -4
 
     def test_zero_matrix(self):
@@ -242,7 +242,7 @@ class TestDeltaSeq:
 
     def test_p3_determinant_identity(self):
         # delta_0 = (n-1) * 2^(n-2) for trees
-        p = polynomials.charpoly(graphs.distance_matrix(graphs.path_graph(3)))
+        p = polynomials.charpoly(graphs.distance_matrix(oracles.path_graph(3)))
         assert polynomials.delta_seq(p)[0] == 2 * 2
 
     def test_heawood_constant_term(self):
@@ -252,7 +252,7 @@ class TestDeltaSeq:
 
 class TestNormalizedSeq:
     def test_p3(self):
-        p = polynomials.charpoly(graphs.distance_matrix(graphs.path_graph(3)))
+        p = polynomials.charpoly(graphs.distance_matrix(oracles.path_graph(3)))
         assert polynomials.normalized_seq(polynomials.delta_seq(p)) == (2, 6)
 
     def test_order_validation(self):
@@ -262,7 +262,7 @@ class TestNormalizedSeq:
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_star_d0(self, n):
-        p = polynomials.charpoly(graphs.distance_matrix(graphs.star_graph(n)))
+        p = polynomials.charpoly(graphs.distance_matrix(oracles.star_graph(n)))
         d = polynomials.normalized_seq(polynomials.delta_seq(p))
         assert d[0] == n - 1
 
@@ -332,7 +332,7 @@ class TestTreeIdentities:
 
 class TestScaledPoly:
     def test_p3(self):
-        dm = graphs.distance_matrix(graphs.path_graph(3))
+        dm = graphs.distance_matrix(oracles.path_graph(3))
         assert oracles.scaled_poly(dm) == (2, 6, 0, -4)
 
     def test_non_tree_rejected(self):
@@ -341,7 +341,7 @@ class TestScaledPoly:
             oracles.scaled_poly(dm)
 
     def test_order_validation(self):
-        dm = graphs.distance_matrix(graphs.path_graph(2))
+        dm = graphs.distance_matrix(oracles.path_graph(2))
         with pytest.raises(ValueError):
             oracles.scaled_poly(dm)
 
@@ -358,7 +358,7 @@ class TestScaledPoly:
 
 class TestTracePower:
     def test_p3(self):
-        dm = graphs.distance_matrix(graphs.path_graph(3))
+        dm = graphs.distance_matrix(oracles.path_graph(3))
         assert polynomials.trace_power(dm) == (12, 12)
 
     def test_zero_matrix_cube(self):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -33,6 +34,11 @@ class TestIsUnimodal:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             sequences.is_unimodal([])
+
+    def test_matches_definition_on_every_short_sequence(self):
+        for length in range(1, 8):
+            for seq in itertools.product(range(3), repeat=length):
+                assert sequences.is_unimodal(seq) == oracles.unimodal_by_definition(seq), seq
 
 
 class TestIsLogConcave:
@@ -77,6 +83,20 @@ class TestNewtonCheck:
     def test_length_validation(self):
         with pytest.raises(ValueError):
             sequences.newton_check([1])
+
+    def test_matches_binomial_form_on_random_integers(self):
+        rng = random.Random(97)
+        for _ in range(20000):
+            top = rng.choice((2, 9, 10**6))
+            coeffs = [rng.randint(-top, top) for _ in range(rng.randint(2, 12))]
+            assert sequences.newton_check(coeffs) == oracles.newton_binomial(coeffs), coeffs
+
+    def test_matches_binomial_form_on_tree_coefficients(self):
+        polys = [polynomials.charpoly(graphs.distance_matrix(graphs.heawood()))]
+        for n in range(3, 13):
+            polys.extend(polynomials.tree_charpoly(t.parent) for t in treegen.enumerate_trees(n))
+        for poly in polys:
+            assert sequences.newton_check(poly.coeffs) == oracles.newton_binomial(poly.coeffs)
 
 
 class TestPeakInterval:
@@ -156,12 +176,12 @@ class TestLowerBoundDiam:
 
 class TestRatioBound:
     def test_p3(self):
-        d = tree_d_sequence(graphs.path_graph(3))
+        d = tree_d_sequence(oracles.path_graph(3))
         assert d == (2, 6)
         assert sequences.ratio_bound_check(d, 2)
 
     def test_star4_via_pipeline(self):
-        g = graphs.star_graph(4)
+        g = oracles.star_graph(4)
         d = tree_d_sequence(g)
         assert sequences.ratio_bound_check(d, max(map(max, graphs.distance_matrix(g))))
 
