@@ -7,8 +7,10 @@ tree kernels and no distance matrix. analyze_graph takes any connected
 graph: it relabels a tree and hands it to analyze_tree, and gives every
 other graph BFS distances and Berkowitz; both paths share one report
 builder. verify_range streams every free tree of orders 3..n_max through
-analyze_tree, optionally on a worker pool, and folds the results into an
-aggregate whose content is independent of the worker count.
+analyze_tree and folds the results into an aggregate whose content is
+independent of the worker count. With worker processes, each one walks
+the whole tree stream itself, analyzes every jobs-th chunk of it, and
+sends the results down its own one-way pipe.
 
 JSON conventions: coefficient-sized integers are serialized as decimal
 strings because they outgrow 64-bit range quickly; dyadic rationals are
@@ -18,11 +20,12 @@ JSON numbers.
 
 from __future__ import annotations
 
+import threading
 import time
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import cycle, islice
 from math import comb
 from typing import Callable
 
@@ -268,74 +271,63 @@ _CHUNK_SIZE = 256
 _SLACKS = ("thm_lo", "thm_hi", "conj_lo", "conj_hi")
 
 
-def _sweep_chunk(args) -> tuple[OrderStats, list[dict], list[dict]]:
-    """Stats, violations and (if asked) per-tree reports of one chunk."""
-    start_id, parents, want_per_tree = args
-    firsts: list[int] = []
-    plateaus = 0
-    slacks: list[tuple[int, ...]] = []
-    violations: list[dict] = []
-    per_tree: list[dict] = []
-    for offset, parent in enumerate(parents):
-        report = analyze_tree(parent, tree_id=start_id + offset)
-        first, last = report.peak.first, report.peak.last
-        b = report.bounds
-        firsts.append(first)
-        plateaus += first != last
-        slacks.append((first - b.thm_lo, b.thm_hi - last, first - b.conj_lo, b.conj_hi - last))
-        if report.failed or want_per_tree:
-            item = tree_report_to_json(report)
-            if report.failed:
-                violations.append(item)
-            if want_per_tree:
-                per_tree.append(item)
-    columns = list(zip(*slacks))
-    stats = OrderStats(
-        trees=len(parents),
-        peak_histogram=Counter(firsts),
-        plateaus=plateaus,
-        slack_min=dict(zip(_SLACKS, map(min, columns))),
-        slack_max=dict(zip(_SLACKS, map(max, columns))),
-    )
-    return stats, violations, per_tree
+def _sweep(n: int, want_per_tree: bool, rank: int = 0, jobs: int = 1):
+    """Stats, violations and (if asked) per-tree reports of chunks rank,
+    rank + jobs, rank + 2*jobs, ... of the order-n tree stream."""
+    trees = enumerate(tree.parent for tree in treegen.enumerate_trees(n))
+    chunks = iter(lambda: list(islice(trees, _CHUNK_SIZE)), [])
+    for chunk in islice(chunks, rank, None, jobs):
+        stats = OrderStats(trees=len(chunk))
+        slacks: list[tuple[int, ...]] = []
+        violations: list[dict] = []
+        per_tree: list[dict] = []
+        for tree_id, parent in chunk:
+            report = analyze_tree(parent, tree_id)
+            first, last = report.peak.first, report.peak.last
+            b = report.bounds
+            stats.peak_histogram[first] += 1
+            stats.plateaus += first != last
+            slacks.append((first - b.thm_lo, b.thm_hi - last, first - b.conj_lo, b.conj_hi - last))
+            if report.failed or want_per_tree:
+                item = tree_report_to_json(report)
+                if report.failed:
+                    violations.append(item)
+                if want_per_tree:
+                    per_tree.append(item)
+        columns = list(zip(*slacks))
+        stats.slack_min = dict(zip(_SLACKS, map(min, columns)))
+        stats.slack_max = dict(zip(_SLACKS, map(max, columns)))
+        yield stats, violations, per_tree
 
 
-def _chunked_args(n: int, want_per_tree: bool):
-    parents = (tree.parent for tree in treegen.enumerate_trees(n))
-    start = 0
-    while batch := list(islice(parents, _CHUNK_SIZE)):
-        yield (start, batch, want_per_tree)
-        start += _CHUNK_SIZE
-
-
-def _worker_init() -> None:
-    """Pool worker set-up: Ctrl-C is left to the main process, and the
-    worker exits as soon as the main process is gone, even if killed."""
-    # imported here: only pool workers run this, and one job needs no pool
-    import multiprocessing
-    import os
+def _worker(writer, readers, n_max: int, want_per_tree: bool, rank: int, jobs: int) -> None:
+    """Pool worker `rank`: sends its chunks of every order 3..n_max down its
+    pipe, in stream order, and None at the end of each order."""
     import signal
-    import threading
-    from multiprocessing.connection import wait
 
-    def exit_with_parent() -> None:
-        wait([multiprocessing.parent_process().sentinel])
-        os._exit(1)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is left to the main process
+    if hasattr(signal, "SIGPIPE"):
+        # a send with no reader left, once the main process is gone, ends the worker quietly
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    for reader in readers:
+        reader.close()  # inherited by fork; a held read end would keep a pipe open
+    for n in range(3, n_max + 1):
+        for result in _sweep(n, want_per_tree, rank, jobs):
+            writer.send(result)
+        writer.send(None)
 
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    threading.Thread(target=exit_with_parent, daemon=True).start()
 
-
-def _in_order(executor, chunks, ahead: int):
-    """_sweep_chunk results in chunk order, with at most `ahead` chunks in
-    flight, so that a large order is never queued whole."""
-    pending = deque()
-    for args in chunks:
-        pending.append(executor.submit(_sweep_chunk, args))
-        if len(pending) == ahead:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
+def _received(readers):
+    """One order's chunk results, chunk c read from worker c mod jobs. A
+    worker that dies, even in the middle of a message, raises EOFError."""
+    turn = cycle(readers)
+    try:
+        while (result := next(turn).recv()) is not None:
+            yield result
+        for reader in islice(turn, len(readers) - 1):
+            reader.recv()  # every other worker's end of the order
+    except OSError as exc:  # "got end of file during message"
+        raise EOFError(exc) from exc
 
 
 def verify_range(
@@ -347,10 +339,14 @@ def verify_range(
 
     The aggregate content is identical for any `jobs` value: chunk results
     are merged with commutative operations and consumed in enumeration
-    order. A per-order count mismatch against the independent counting
-    recurrence is an internal error and raises immediately. Running out of
-    memory, an interrupt or a worker that dies raises SweepInterrupted.
-    While the worker pool shuts down, the main thread ignores Ctrl-C.
+    order. With jobs > 1, each of `jobs` worker processes walks the whole
+    tree stream and analyzes every jobs-th chunk, sending results down its
+    own one-way pipe; nothing is sent to a worker. A per-order count
+    mismatch against the independent counting recurrence is an internal
+    error and raises immediately. Running out of memory, an interrupt or a
+    worker that dies (its pipe ends) raises SweepInterrupted. The workers
+    are killed on the way out, while the main thread ignores Ctrl-C; a
+    worker whose main process is gone ends at its next send.
     """
     if n_max < 3:
         raise ValueError("max order must be at least 3")
@@ -360,24 +356,28 @@ def verify_range(
     orders: dict[int, OrderStats] = {}
     violations: list[dict] = []
     want_per_tree = per_tree_sink is not None
-    executor = None
-    interrupts = (MemoryError, KeyboardInterrupt)
-    if jobs > 1:
-        # imported only here: one job needs no pool, and the import slows every start
-        import signal
-        import threading
-        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
-        executor = ProcessPoolExecutor(max_workers=jobs, initializer=_worker_init)
-        interrupts += (BrokenProcessPool,)
+    readers: list = []
+    workers: list = []
     try:
+        if jobs > 1:
+            # imported only here: one job needs no workers, and the import slows every start
+            import multiprocessing
+            import signal
+
+            for rank in range(jobs):
+                reader, writer = multiprocessing.Pipe(duplex=False)
+                readers.append(reader)
+                worker = multiprocessing.Process(
+                    target=_worker, args=(writer, tuple(readers), n_max, want_per_tree, rank, jobs)
+                )
+                worker.start()
+                workers.append(worker)
+                writer.close()  # the worker holds the only write end, so its death ends the pipe
         for n in range(3, n_max + 1):
             stats = OrderStats(expected=treegen.tree_count_recurrence(n))
-            chunks = _chunked_args(n, want_per_tree)
-            results = (
-                _in_order(executor, chunks, 2 * jobs) if executor else map(_sweep_chunk, chunks)
-            )
-            for part, part_violations, items in results:
+            for part, part_violations, items in (
+                _received(readers) if readers else _sweep(n, want_per_tree)
+            ):
                 stats.merge(part)
                 violations.extend(part_violations)
                 for item in items:
@@ -388,20 +388,22 @@ def verify_range(
                     f"trees but the counting recurrence gives {stats.expected}"
                 )
             orders[n] = stats
-    except interrupts as exc:
+    except (MemoryError, KeyboardInterrupt, EOFError) as exc:
         done = sum(s.trees for s in orders.values())
         raise SweepInterrupted(
             f"sweep aborted after {done} trees; orders {sorted(orders)} completed",
             sorted(orders),
         ) from exc
     finally:
-        if executor is not None:
-            # a second Ctrl-C must not break off the shutdown that ends the workers
+        if workers:
+            # a second Ctrl-C must not break off the stop that ends the workers
             on_main = threading.current_thread() is threading.main_thread()
             if on_main:
                 previous = signal.signal(signal.SIGINT, signal.SIG_IGN)
             try:
-                executor.shutdown(cancel_futures=True)
+                for worker in workers:
+                    worker.kill()
+                    worker.join()
             finally:
                 if on_main:
                     signal.signal(signal.SIGINT, previous)

@@ -150,7 +150,11 @@ def console_main() -> None:
     if hasattr(signal, "SIGPIPE"):
         # let a closed stdout (`| head`) end the process instead of raising
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    sys.exit(main())
+    code = main()
+    # interpreter exit resets a Python-level SIGINT handler to the default but
+    # leaves SIG_IGN alone, so a late Ctrl-C cannot replace the exit status
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -160,10 +160,11 @@ class TestVerifyRange:
         parallel.pop("run")
         assert serial == parallel
 
-    @pytest.mark.parametrize("chunk,jobs", [(1, 1), (7, 1), (7, 2)])
+    @pytest.mark.parametrize("chunk,jobs", [(1, 1), (7, 1), (7, 2), (7, 3), (1, 3)])
     def test_chunk_boundaries_do_not_change_aggregate(self, monkeypatch, chunk, jobs):
         # every order <= 11 fits in one default chunk, so small chunks are
-        # what exercises the merge of chunk stats at these orders
+        # what exercises the merge of chunk stats, and the stride of chunks
+        # over the workers, at these orders
         def aggregate(**kwargs):
             data = analysis.aggregate_report_to_json(analysis.verify_range(10, **kwargs))
             data.pop("run")
@@ -183,11 +184,16 @@ class TestVerifyRange:
         for n, ids in ids_by_order.items():
             assert ids == list(range(report.orders[n].trees))
 
-    def test_per_tree_sink_parallel_same_stream(self):
-        serial, parallel = [], []
-        analysis.verify_range(7, jobs=1, per_tree_sink=serial.append)
-        analysis.verify_range(7, jobs=2, per_tree_sink=parallel.append)
-        assert serial == parallel
+    def test_per_tree_sink_parallel_same_stream(self, monkeypatch):
+        serial = []
+        analysis.verify_range(8, jobs=1, per_tree_sink=serial.append)
+        # chunks of 7 split order 8 into four, so the items of the workers
+        # interleave; of three workers, the third has no chunk below order 8
+        for chunk, jobs in [(analysis._CHUNK_SIZE, 2), (7, 2), (7, 3)]:
+            monkeypatch.setattr(analysis, "_CHUNK_SIZE", chunk)
+            parallel = []
+            analysis.verify_range(8, jobs=jobs, per_tree_sink=parallel.append)
+            assert parallel == serial, (chunk, jobs)
 
     def test_violation_reporting(self, monkeypatch):
         # no real tree violates the theorems, so force a failing predicate
@@ -237,6 +243,35 @@ class TestVerifyRange:
         assert code == 0, err
         assert out == "interrupted\n0 children left\n"
 
+    def test_worker_dead_mid_message_interrupts(self):
+        code, out, err = run_child(
+            """
+            import multiprocessing, os, struct
+            from distpoly import analysis
+
+            real_worker = analysis._worker
+
+            def die_mid_message(writer, readers, n_max, want_per_tree, rank, jobs):
+                if rank < jobs - 1:
+                    return real_worker(writer, readers, n_max, want_per_tree, rank, jobs)
+                # the last worker started: a length header that announces
+                # more bytes than follow
+                os.write(writer.fileno(), struct.pack("!i", 1000) + b"partial")
+                os._exit(1)
+
+            multiprocessing.set_start_method("fork")  # the workers inherit the patch
+            analysis._worker = die_mid_message
+            try:
+                analysis.verify_range(10, jobs=2)
+            except analysis.SweepInterrupted:
+                print("interrupted")
+            print(len(multiprocessing.active_children()), "children left")
+            """,
+            "sweep hung after a worker died mid-message",
+        )
+        assert code == 0, err
+        assert out == "interrupted\n0 children left\n"
+
     @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
     def test_workers_exit_when_the_main_process_is_killed(self):
         code, out, _ = run_child(
@@ -267,20 +302,19 @@ class TestVerifyRange:
     def test_second_interrupt_during_shutdown_is_ignored(self):
         code, out, err = run_child(
             """
-            import os, signal
-            from concurrent.futures import ProcessPoolExecutor
+            import multiprocessing, os, signal
             from distpoly import analysis
 
-            real_shutdown = ProcessPoolExecutor.shutdown
+            real_join = multiprocessing.Process.join
 
-            def interrupted_shutdown(self, *args, **kwargs):
+            def interrupted_join(self, *args, **kwargs):
                 os.kill(os.getpid(), signal.SIGINT)  # a second Ctrl-C
-                real_shutdown(self, *args, **kwargs)
+                real_join(self, *args, **kwargs)
 
             def first_interrupt(item):
                 raise KeyboardInterrupt
 
-            ProcessPoolExecutor.shutdown = interrupted_shutdown
+            multiprocessing.Process.join = interrupted_join
             try:
                 analysis.verify_range(8, jobs=2, per_tree_sink=first_interrupt)
             except analysis.SweepInterrupted:

@@ -1,8 +1,10 @@
 import hashlib
 import json
+import os
 import signal
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -237,6 +239,27 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "3"
+
+    def test_late_interrupt_keeps_the_exit_status(self):
+        # a Ctrl-C while the interpreter exits, sent here by an atexit hook
+        script = textwrap.dedent(
+            """
+            import atexit, os, signal, sys
+            from distpoly import cli
+
+            atexit.register(os.kill, os.getpid(), signal.SIGINT)
+            sys.argv[1:] = ["verify", "--max-order", "4"]
+            cli.console_main()
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["total_trees"] == 3
 
     @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="platform has no SIGPIPE")
     def test_closed_stdout_ends_silently(self):
