@@ -7,10 +7,13 @@ tree kernels and no distance matrix. analyze_graph takes any connected
 graph: it relabels a tree and hands it to analyze_tree, and gives every
 other graph BFS distances and Berkowitz; both paths share one report
 builder. verify_range streams every free tree of orders 3..n_max through
-analyze_tree and folds the results into an aggregate whose content is
-independent of the worker count. With worker processes, each one walks
-the whole tree stream itself, analyzes every jobs-th chunk of it, and
-sends the results down its own one-way pipe.
+the same tree pipeline, with the characteristic polynomial folded from
+each tree's first changed level (polynomials.level_fold) and the traces
+and 2-path count taken from its own parent array, and folds the results
+into an aggregate whose content is independent of the worker count. With
+worker processes, each one walks the whole tree stream itself, analyzes
+every jobs-th chunk of it, and sends the results down its own one-way
+pipe.
 
 JSON conventions: coefficient-sized integers are serialized as decimal
 strings because they outgrow 64-bit range quickly; dyadic rationals are
@@ -26,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import cycle, islice
-from math import comb
+from operator import mul
 from typing import Callable
 
 from . import graphs, polynomials, sequences, treegen
@@ -116,11 +119,19 @@ def analyze_tree(parent, tree_id: int | None = None) -> TreeReport:
     each parent before its child. No Graph or distance matrix is built.
     Raises ValueError on any other array or an order below 3.
     """
-    poly = polynomials.tree_charpoly(parent)
+    return _tree_report(parent, polynomials.tree_charpoly(parent), tree_id)
+
+
+def _tree_report(parent, poly: polynomials.CharPoly, tree_id: int | None) -> TreeReport:
+    # the traces and p3 come from the tree's own parent array, so the
+    # trace identities and the d_1 formula check poly against that tree
     tr2, tr3, diam = polynomials.tree_traces(parent)
-    # the degree of v is its child count, plus one unless v is the root
-    children = Counter(parent[1:])
-    p3 = sum(comb(c + (v > 0), 2) for v, c in children.items())
+    degree = [1] * len(parent)
+    degree[0] = 0
+    for p in parent[1:]:
+        degree[p] += 1
+    # p3 = sum of C(deg v, 2), and the degrees sum to 2(n - 1)
+    p3 = (sum(map(mul, degree, degree)) >> 1) - len(parent) + 1
     return _report(tree_id, True, diam, p3, poly, tr2, tr3)
 
 
@@ -273,16 +284,26 @@ _SLACKS = ("thm_lo", "thm_hi", "conj_lo", "conj_hi")
 
 def _sweep(n: int, want_per_tree: bool, rank: int = 0, jobs: int = 1):
     """Stats, violations and (if asked) per-tree reports of chunks rank,
-    rank + jobs, rank + 2*jobs, ... of the order-n tree stream."""
-    trees = enumerate(tree.parent for tree in treegen.enumerate_trees(n))
+    rank + jobs, rank + 2*jobs, ... of the order-n tree stream.
+
+    Only those chunks are folded: each tree restarts the fold at the
+    least first changed position since the last tree folded, which, the
+    sequences being in lexicographic order, is where the two differ."""
+    fold = polynomials.level_fold(n)
+    restart = 1
+    trees = enumerate(treegen.tree_stream(n))
     chunks = iter(lambda: list(islice(trees, _CHUNK_SIZE)), [])
-    for chunk in islice(chunks, rank, None, jobs):
+    for index, chunk in enumerate(chunks):
+        if index % jobs != rank:
+            restart = min(restart, *(start for _, (_, start, _) in chunk))
+            continue
         stats = OrderStats(trees=len(chunk))
         slacks: list[tuple[int, ...]] = []
         violations: list[dict] = []
         per_tree: list[dict] = []
-        for tree_id, parent in chunk:
-            report = analyze_tree(parent, tree_id)
+        for tree_id, (seq, start, parent) in chunk:
+            report = _tree_report(parent, fold(seq, min(restart, start)), tree_id)
+            restart = n
             first, last = report.peak.first, report.peak.last
             b = report.bounds
             stats.peak_histogram[first] += 1

@@ -7,9 +7,12 @@ built on Graham and Lovasz's closed form for the inverse distance matrix,
 which packs each polynomial into one Python int (Kronecker substitution)
 so that its products run as C-level big-integer multiplies; the tests
 check both against an independent Bareiss determinant (tests/oracles.py).
-Trees enter as parent arrays that label each parent before its child,
-and tree_traces packs their distance rows the same way, so no tree ever
-forms its distance matrix.
+The tree kernel folds a level sequence in preorder and keeps the state of
+every prefix, so a stream of trees (level_fold) refolds each one only from
+where it first differs from the tree before; tree_charpoly folds one tree
+given as a parent array that labels each parent before its child.
+tree_traces packs distance rows the same way, from the parent array, so
+no tree ever forms its distance matrix.
 Normalized coefficients are ints wherever they are integral, which they
 are for every tree, so only non-trees ever build a Fraction.
 """
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 from operator import mul
 
 
@@ -78,9 +82,10 @@ def _depths(parent) -> list[int]:
     """Vertex depths of a parent array of order at least 3.
 
     Raises ValueError unless parent[0] == -1 and 0 <= parent[i] < i for
-    every other i. Parent before child is all the tree kernels need: each
-    of their passes runs leaf to root, so a child is folded in before its
+    every other i. Parent before child is all tree_traces needs: each of
+    its passes runs leaf to root, so a child is summed in before its
     parent, or root to leaf, so a parent's row is ready before its child's.
+    The fold behind tree_charpoly needs a preorder (_preorder_levels).
     """
     n = len(parent)
     if n < 3:
@@ -96,23 +101,77 @@ def _depths(parent) -> list[int]:
     return depth
 
 
-def tree_charpoly(parent) -> CharPoly:
-    """det(xI - D) of a tree from its parent array; D is never formed.
+def _preorder_levels(parent) -> list[int]:
+    """Level sequence of a preorder of the tree of a parent array.
+
+    parent itself when it is a preorder, that is, when each parent[i] lies
+    on the root path of i - 1; any other parent-before-child array is
+    relabeled by one depth-first walk. Raises ValueError as _depths does.
+    """
+    depth = _depths(parent)
+    n = len(parent)
+    last = [0] * n  # last[d] = latest vertex at depth d
+    for i in range(1, n):
+        d = depth[i]
+        if d > depth[i - 1] + 1 or last[d - 1] != parent[i]:
+            break
+        last[d] = i
+    else:
+        return depth
+    children: list[list[int]] = [[] for _ in range(n)]
+    for i in range(n - 1, 0, -1):
+        children[parent[i]].append(i)
+    levels = []
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        levels.append(depth[v])
+        stack += children[v]
+    return levels
+
+
+def level_fold(n: int):
+    """det(xI - D) of trees of order n given as level sequences, folded
+    from the first position at which each differs from the one before.
+
+    Returns charpoly(seq, start): seq is a preorder list of depths, the
+    root first at depth 0, and seq[:start] must equal the prefix of the
+    sequence of the previous call (start == 1 on a first call, or to fold
+    a tree from scratch). One fold serves one stream of sequences.
 
     Graham and Lovasz give D^-1 = -L/2 + tau tau^T / (2(n-1)) with
     tau_v = 2 - deg v, so the matrix determinant lemma yields
     det(xI - D) = -((n-1) P(x) - x Q(x)) / 4 for M = 2I + xL,
-    P = det M and Q = tau^T adj(M) tau. One leaf-to-root pass computes
-    both, keeping five integer polynomials per vertex v over the block of
-    M on v's subtree: A (its determinant), B (the same with v deleted),
-    S (tau-weighted open paths ending at v), W (closed paths) and V
-    (closed paths avoiding v, with v deleted). Absorbing a child is
-    division-free, so the cost is O(n^2) coefficient operations against
-    the ~n^4/4 of Berkowitz.
+    P = det M and Q = tau^T adj(M) tau. Both come from five integer
+    polynomials per vertex v over the block of M on v's subtree: A (its
+    determinant), B (the same with v deleted), S (tau-weighted open paths
+    ending at v), W (closed paths) and V (closed paths avoiding v, with v
+    deleted). A vertex of degree delta with no children yet has
+    A = a0 = 2 + delta x, B = 1, S = s0 = 2 - delta, W = s0^2 and V = 0,
+    and absorbing a closed child c gives
+      A <- A A_c - x^2 B B_c,  B <- B A_c,  S <- S A_c + x B S_c,
+      W <- W A_c + A W_c + 2x S S_c - x^2 (V B_c + B V_c),
+      V <- V A_c + B W_c,
+    which is division-free: O(n^2) coefficient operations against the
+    ~n^4/4 of Berkowitz. P and Q are A and W of the root.
+
+    In preorder a vertex's degree is known only once it closes, so each
+    open vertex (the root path of the latest one) keeps its children's
+    fold with its degree symbolic: five ints B, alpha, sigma, V, omega,
+    from (1, 0, 0, 0, 0), with A = a0 B + alpha, S = s0 B + sigma and
+    W = s0^2 B + a0 V + 2 s0 sigma + omega; the rules above split into
+      alpha <- alpha A_c - x^2 B B_c,  sigma <- sigma A_c + x B S_c,
+      omega <- omega A_c + alpha W_c + 2x sigma S_c - x^2 (V B_c + B V_c),
+    plus the child count that gives delta. (The part of W linear in s0
+    obeys sigma's rule doubled, so it is 2 s0 sigma.) A leaf closes to
+    the constant (A, B, S, W, V) = (2 + x, 1, 1, 1, 0), so absorbing one
+    takes small multiples and shifts only. The open path is a persistent
+    stack of tuples, and the stack of the ancestors of each position is
+    kept, so a tree restarts from the snapshot just before start.
 
     Each polynomial is held as one int, its value at X = 2^w (Kronecker
     substitution), so a product of polynomials is one big-int multiply
-    and x^j f is f << j*w. Evaluation at X is a ring map, so the pass is
+    and x^j f is f << j*w. Evaluation at X is a ring map, so the fold is
     exact whatever the sizes of the intermediate coefficients; only the
     numerator N = (n-1) P - x Q is decoded, into balanced base-X digits,
     and that is exact when every coefficient of N lies below 2^(w-1) in
@@ -125,50 +184,94 @@ def tree_charpoly(parent) -> CharPoly:
     |tau|^2 4^n / 2, and |tau|^2 <= n^2. Every coefficient of N is a
     difference of two nonnegative terms, so below n^2 4^n in absolute
     value.
-
-    parent[0] == -1 marks the root and every other parent[i] < i, so each
-    parent comes before its child (enumerate_trees and
-    treegen.preorder_parents give preorder, one such labeling); raises
-    ValueError otherwise or when the order is below 3.
     """
-    _depths(parent)
-    n = len(parent)
-    degree = [1] * n
-    degree[0] = 0
-    for p in parent[1:]:
-        degree[p] += 1
+    if n < 3:
+        raise ValueError("tree kernel needs order at least 3")
     w = (n * n << 2 * n).bit_length() + 1
+    w1 = w + 1
     w2 = 2 * w
-    A = [2 + (deg << w) for deg in degree]
-    B = [1] * n
-    S = [2 - deg for deg in degree]
-    W = [t * t for t in S]
-    V = [0] * n
-    for c in range(n - 1, 0, -1):
-        p = parent[c]
-        a, b, s, v = A[p], B[p], S[p], V[p]
-        ac, bc, sc, wc, vc = A[c], B[c], S[c], W[c], V[c]
-        A[p] = a * ac - ((b * bc) << w2)
-        B[p] = b * ac
-        S[p] = s * ac + ((b * sc) << w)
-        W[p] = W[p] * ac + a * wc + ((s * sc) << (w + 1)) - ((v * bc + b * vc) << w2)
-        V[p] = v * ac + b * wc
-    num = (n - 1) * A[0] - (W[0] << w)
-    mask = (1 << w) - 1
+    leaf = 2 + (1 << w)
+    # an open vertex that has absorbed one leaf and nothing else
+    one_leaf = (1, leaf, -(1 << w2), 1 << w, 1, 0)
+    # N is decoded from bias - N, whose base-X digits half - N_j all lie
+    # in [0, X), each a multiple of 4 exactly when N_j is
     half = 1 << (w - 1)
-    coeffs = []
-    for k in range(n + 1):
-        digit = num & mask
-        num >>= w
-        if digit >= half:
-            digit -= mask + 1
-            num += 1
-        if digit % 4:
-            raise RuntimeError(f"internal error: tree kernel coefficient {k} not divisible by 4")
-        coeffs.append(-digit // 4)
-    if num:
-        raise RuntimeError("internal error: tree kernel numerator exceeds degree n")
-    return CharPoly(n, tuple(coeffs))
+    top = 1 << (n + 1) * w
+    mask = (1 << w) - 1
+    ones = (top - 1) // mask  # every base-X digit 1
+    bias = ones << (w - 1)
+    fours = 3 * ones
+    shifts = range(0, (n + 1) * w, w)
+    # snaps[i]: the open ancestors of vertex i, nearest first, as nested
+    # tuples (child count, B, alpha, sigma, V, omega, rest); vertex i is
+    # open too, with no children yet, so it is left implicit
+    snaps: list = [None] * (n + 1)
+
+    def charpoly(seq, start: int) -> CharPoly:
+        state = snaps[start - 1]
+        prev = seq[start - 1]
+        # a last step to depth 1 closes every vertex below the root
+        for i, d in enumerate(chain(islice(seq, start, None), (1,)), start):
+            if d > prev:  # vertex i - 1 is the parent of i
+                state = (0, 1, 0, 0, 0, 0, state)
+            else:  # vertex i - 1 is a leaf
+                k, B, al, si, V, om, rest = state
+                if k:
+                    state = (
+                        k + 1,
+                        B * leaf,
+                        al * leaf - (B << w2),
+                        si * leaf + (B << w),
+                        V * leaf + B,
+                        om * leaf + al + (si << w1) - (V << w2),
+                        rest,
+                    )
+                else:
+                    state = one_leaf + (rest,)
+                for _ in range(prev - d):  # close the ancestors at depth >= d
+                    k, B, al, si, V, om, rest = state
+                    a0 = 2 + (k + 1 << w)
+                    s0 = 1 - k
+                    A = a0 * B + al
+                    S = s0 * B + si
+                    W = s0 * (S + si) + a0 * V + om
+                    k, pB, pal, psi, pV, pom, rest = rest
+                    if k:
+                        state = (
+                            k + 1,
+                            pB * A,
+                            pal * A - (pB * B << w2),
+                            psi * A + (pB * S << w),
+                            pV * A + pB * W,
+                            pom * A + pal * W + (psi * S << w1) - (pV * B + pB * V << w2),
+                            rest,
+                        )
+                    else:
+                        state = (1, A, -(B << w2), S << w, W, -(V << w2), rest)
+            snaps[i] = state
+            prev = d
+        k, B, al, si, V, om, _ = state
+        a0 = 2 + (k << w)
+        S = (2 - k) * B + si
+        digits = bias - (n - 1) * (a0 * B + al) + ((2 - k) * (S + si) + a0 * V + om << w)
+        if not 0 <= digits < top or digits & fours:
+            raise RuntimeError("internal error: tree kernel numerator is not 4 times a polynomial")
+        return CharPoly(n, tuple([((digits >> j & mask) - half) >> 2 for j in shifts]))
+
+    return charpoly
+
+
+def tree_charpoly(parent) -> CharPoly:
+    """det(xI - D) of a tree from its parent array; D is never formed.
+
+    The level_fold of one tree, from position 1, on the level sequence of
+    a preorder of the tree. parent[0] == -1 marks the root and every other
+    parent[i] < i, so each parent comes before its child; a preorder
+    (enumerate_trees and treegen.preorder_parents give one) is read as it
+    is, and any other such labeling is relabeled into one first. Raises
+    ValueError on any other array or when the order is below 3.
+    """
+    return level_fold(len(parent))(_preorder_levels(parent), 1)
 
 
 def delta_seq(p: CharPoly) -> tuple[int, ...]:

@@ -19,6 +19,12 @@ first cap vertices, followed by the root's second child; any other is
 skipped whole at its last vertex. Rejected candidates per tree: 0.35 at
 order 8, the most over orders 3..18, 0.12 at 15, 0.066 at 18 (3.7 at 15
 without the cut).
+
+Each step to a successor keeps every position before the one it lowers,
+so the stream also knows where each sequence first differs from the one
+before it. tree_stream yields that position with the sequence, and
+rebuilds the parent array from it only; the sweep restarts its kernel
+there too (polynomials.level_fold).
 """
 
 from __future__ import annotations
@@ -57,33 +63,42 @@ def _successor_at(seq: list[int], p: int, q: int | None = None) -> list[int]:
     return seq[:q] + (seq[q:p] * ((n - q) // (p - q) + 1))[: n - q]
 
 
-def _rooted_successor(seq: list[int]) -> list[int] | None:
+def _rooted_successor(seq: list[int]) -> tuple[int, list[int]] | None:
+    # (first changed position, lex-next canonical rooted sequence)
     p = len(seq) - 1
     while p > 0 and seq[p] < 2:
         p -= 1
     if p == 0:
         return None  # the star has no successor
-    return _successor_at(seq, p)
+    return p, _successor_at(seq, p)
 
 
-def _skip(seq: list[int], m: int, cap: int) -> list[int]:
-    # next candidate after rejecting seq, whose first root subtree is
-    # seq[1:m] and could pass with at most cap vertices (see above)
+def _skip(seq: list[int], m: int, cap: int) -> tuple[int, list[int]]:
+    # (first changed position, next candidate) after rejecting seq, whose
+    # first root subtree is seq[1:m] and could pass with at most cap
+    # vertices (see above)
     if m - 1 > cap:
-        return _successor_at(seq, cap + 1, 1)
+        return cap + 1, _successor_at(seq, cap + 1, 1)
     # skip the whole subtree at its last vertex, at depth >= 2
-    return _successor_at(seq, m - 1)
+    return m - 1, _successor_at(seq, m - 1)
 
 
-def _level_sequences(n: int) -> Iterator[list[int]]:
+def _level_sequences(n: int) -> Iterator[tuple[list[int], int]]:
+    # each sequence with its first position that differs from the one
+    # before (1 for the first): every step keeps the positions before its
+    # own and lowers that one, so over one `next` it is the least of them
     if n <= 2:
-        yield list(range(n))
+        yield list(range(n)), 1
         return
-    seq: list[int] | None = _start_sequence(n)
-    while seq is not None:
-        yield seq
-        seq = _rooted_successor(seq)
-        while seq is not None:
+    seq = _start_sequence(n)
+    first = 1
+    while True:
+        yield seq, first
+        step = _rooted_successor(seq)
+        first = n
+        while step is not None:
+            p, seq = step
+            first = min(first, p)
             try:
                 m = seq.index(1, 2)  # the root's second child
             except ValueError:
@@ -95,17 +110,33 @@ def _level_sequences(n: int) -> Iterator[list[int]]:
                 left, rest = (top - 1, m - 1), (max(seq[m:]), n - m + 1)
                 if left < rest or (left == rest and [d - 1 for d in seq[1:m]] <= [0] + seq[m:]):
                     break
-            seq = _skip(seq, m, cap)
+            step = _skip(seq, m, cap)
+        else:
+            return
 
 
-def _parents_from_levels(seq: list[int]) -> tuple[int, ...]:
-    parent = [ROOT] * len(seq)
-    last = [0] * len(seq)  # last[d] = latest vertex at depth d
-    for i in range(1, len(seq)):
-        d = seq[i]
-        parent[i] = last[d - 1]
-        last[d] = i
-    return tuple(parent)
+def tree_stream(n: int) -> Iterator[tuple[list[int], int, tuple[int, ...]]]:
+    """(level sequence, first changed position, parent array) of each tree.
+
+    The trees and their order are those of enumerate_trees. The first
+    changed position is the first index at which the level sequence
+    differs from the one before it (1 for the first tree; index 0 is
+    always the root), so everything before it describes the same rooted
+    prefix as in the previous tree. The parent array is rebuilt from that
+    position only: the parent of i is the first vertex at a lower depth
+    on the way up from i - 1. The yielded lists are never changed later.
+    """
+    if n < 1:
+        raise ValueError("tree order must be at least 1")
+    parent = [ROOT] * n
+    for seq, start in _level_sequences(n):
+        for i in range(start, n):
+            d = seq[i]
+            u = i - 1
+            while seq[u] >= d:
+                u = parent[u]
+            parent[i] = u
+        yield seq, start, tuple(parent)
 
 
 def enumerate_trees(n: int) -> Iterator[CanonicalTree]:
@@ -114,10 +145,8 @@ def enumerate_trees(n: int) -> Iterator[CanonicalTree]:
     The stream order is deterministic: canonical level sequences in
     decreasing lexicographic order.
     """
-    if n < 1:
-        raise ValueError("tree order must be at least 1")
-    for seq in _level_sequences(n):
-        yield CanonicalTree(n, _parents_from_levels(seq))
+    for _, _, parent in tree_stream(n):
+        yield CanonicalTree(n, parent)
 
 
 def to_graph(tree: CanonicalTree) -> Graph:

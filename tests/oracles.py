@@ -8,7 +8,11 @@ spelled-out height, size, order cascade and the free-tree stream from
 plain generate-and-reject, Newton's inequalities from their binomial
 form and unimodality by trying every peak. The one exception is scaled_poly, which rescales the package's
 Berkowitz polynomial. The path, the star and the edge-list writer are
-fixtures built on the package's Graph.
+fixtures built on the package's Graph. tree_charpoly_leaf_to_root runs
+the Graham-Lovasz recursion leaf to root with every degree known up
+front, and parents_from_levels builds each parent array from scratch:
+the references for the package's stream fold and its parent rebuild,
+which both restart at each tree's first changed position.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from math import comb
 from multiprocessing import Pool
 
 from distpoly.graphs import Graph, graph_from_edges
-from distpoly.polynomials import charpoly
+from distpoly.polynomials import CharPoly, charpoly
 
 
 def path_graph(n: int) -> Graph:
@@ -452,3 +456,60 @@ def tree_charpoly_lists(adj) -> tuple[int, ...]:
         assert num % 4 == 0
         coeffs.append(-num // 4)
     return tuple(coeffs)
+
+
+def tree_charpoly_leaf_to_root(parent) -> CharPoly:
+    """det(xI - D) of a tree from a parent-before-child parent array.
+
+    The same Graham-Lovasz recursion as the package's fold, run leaf to
+    root with every degree known up front and each polynomial packed at
+    X = 2^w, w = bitlen(n^2 4^n) + 1: the reference for the fold's
+    symbolic degrees, its leaf shortcut and its restarts.
+    """
+    n = len(parent)
+    assert n >= 3 and parent[0] == -1 and all(0 <= parent[i] < i for i in range(1, n))
+    degree = [1] * n
+    degree[0] = 0
+    for p in parent[1:]:
+        degree[p] += 1
+    w = (n * n << 2 * n).bit_length() + 1
+    w2 = 2 * w
+    A = [2 + (deg << w) for deg in degree]
+    B = [1] * n
+    S = [2 - deg for deg in degree]
+    W = [t * t for t in S]
+    V = [0] * n
+    for c in range(n - 1, 0, -1):
+        p = parent[c]
+        a, b, s, v = A[p], B[p], S[p], V[p]
+        ac, bc, sc, wc, vc = A[c], B[c], S[c], W[c], V[c]
+        A[p] = a * ac - ((b * bc) << w2)
+        B[p] = b * ac
+        S[p] = s * ac + ((b * sc) << w)
+        W[p] = W[p] * ac + a * wc + ((s * sc) << (w + 1)) - ((v * bc + b * vc) << w2)
+        V[p] = v * ac + b * wc
+    num = (n - 1) * A[0] - (W[0] << w)
+    mask = (1 << w) - 1
+    coeffs = []
+    for _ in range(n + 1):
+        digit = num & mask
+        num >>= w
+        if digit >= 1 << (w - 1):
+            digit -= mask + 1
+            num += 1
+        assert digit % 4 == 0
+        coeffs.append(-digit // 4)
+    assert num == 0
+    return CharPoly(n, tuple(coeffs))
+
+
+def parents_from_levels(seq) -> tuple[int, ...]:
+    """Parent array of a level sequence: each vertex's parent is the
+    latest vertex one level up."""
+    parent = [-1] * len(seq)
+    last = [0] * len(seq)  # last[d] = latest vertex at depth d
+    for i in range(1, len(seq)):
+        d = seq[i]
+        parent[i] = last[d - 1]
+        last[d] = i
+    return tuple(parent)

@@ -160,11 +160,12 @@ class TestVerifyRange:
         parallel.pop("run")
         assert serial == parallel
 
-    @pytest.mark.parametrize("chunk,jobs", [(1, 1), (7, 1), (7, 2), (7, 3), (1, 3)])
+    @pytest.mark.parametrize("chunk,jobs", [(1, 1), (7, 1), (7, 2), (7, 3), (1, 3), (1, 2)])
     def test_chunk_boundaries_do_not_change_aggregate(self, monkeypatch, chunk, jobs):
         # every order <= 11 fits in one default chunk, so small chunks are
-        # what exercises the merge of chunk stats, and the stride of chunks
-        # over the workers, at these orders
+        # what exercises the merge of chunk stats, the stride of chunks
+        # over the workers, and each worker's restart of the fold at the
+        # start of its chunks, at these orders
         def aggregate(**kwargs):
             data = analysis.aggregate_report_to_json(analysis.verify_range(10, **kwargs))
             data.pop("run")
@@ -188,8 +189,9 @@ class TestVerifyRange:
         serial = []
         analysis.verify_range(8, jobs=1, per_tree_sink=serial.append)
         # chunks of 7 split order 8 into four, so the items of the workers
-        # interleave; of three workers, the third has no chunk below order 8
-        for chunk, jobs in [(analysis._CHUNK_SIZE, 2), (7, 2), (7, 3)]:
+        # interleave; of three workers, the third has no chunk below order 8;
+        # chunks of 1 make every tree a restart of some worker's fold
+        for chunk, jobs in [(analysis._CHUNK_SIZE, 2), (7, 2), (7, 3), (1, 2), (1, 3)]:
             monkeypatch.setattr(analysis, "_CHUNK_SIZE", chunk)
             parallel = []
             analysis.verify_range(8, jobs=jobs, per_tree_sink=parallel.append)
@@ -209,14 +211,14 @@ class TestVerifyRange:
 
     @pytest.mark.parametrize("interrupt", [MemoryError, KeyboardInterrupt])
     def test_interruption_reports_partial_progress(self, monkeypatch, interrupt):
-        real = treegen.enumerate_trees
+        real = treegen.tree_stream
 
         def exploding(n):
             if n == 5:
                 raise interrupt("simulated")
             return real(n)
 
-        monkeypatch.setattr(analysis.treegen, "enumerate_trees", exploding)
+        monkeypatch.setattr(analysis.treegen, "tree_stream", exploding)
         with pytest.raises(analysis.SweepInterrupted) as err:
             analysis.verify_range(6)
         assert err.value.completed_orders == [3, 4]

@@ -114,6 +114,37 @@ class TestTreeCharpoly:
             polynomials.tree_charpoly(treegen.preorder_parents(oracles.path_graph(n)))
 
 
+class TestLevelFold:
+    """The fold over the tree stream, restarting each tree from its first
+    changed position, against the leaf-to-root kernel in tests/oracles.py."""
+
+    def test_leaf_to_root_reference_matches_berkowitz(self):
+        for n in range(3, 11):
+            for tree in treegen.enumerate_trees(n):
+                expected = polynomials.charpoly(graphs.distance_matrix(treegen.to_graph(tree)))
+                assert oracles.tree_charpoly_leaf_to_root(tree.parent) == expected
+
+    @pytest.mark.parametrize("n", range(3, 17))
+    def test_stream_fold_matches_leaf_to_root_kernel(self, n):
+        fold = polynomials.level_fold(n)
+        for i, (seq, start, parent) in enumerate(treegen.tree_stream(n)):
+            assert fold(seq, start) == oracles.tree_charpoly_leaf_to_root(parent), (n, i)
+
+    def test_any_earlier_restart_gives_the_same_polynomial(self):
+        rng = random.Random(101)
+        for n in range(3, 12):
+            fold = polynomials.level_fold(n)
+            for seq, start, parent in treegen.tree_stream(n):
+                expected = fold(seq, start)
+                assert fold(seq, rng.randint(1, start)) == expected
+                assert polynomials.tree_charpoly(parent) == expected
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_small_order_rejected(self, n):
+        with pytest.raises(ValueError, match="order at least 3"):
+            polynomials.level_fold(n)
+
+
 class TestTreeTraces:
     """Packed path-metric traces against trace_power on the BFS matrix."""
 

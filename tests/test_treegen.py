@@ -58,18 +58,35 @@ class TestStreamProperties:
             seq = treegen._start_sequence(n)
             while seq is not None:
                 rooted.append(seq)
-                seq = treegen._rooted_successor(seq)
+                step = treegen._rooted_successor(seq)
+                seq = step and step[1]
             expected = [s for s in rooted if oracles.is_canonical_free(s)]
-            assert list(treegen._level_sequences(n)) == expected
+            assert [seq for seq, _ in treegen._level_sequences(n)] == expected
 
     @pytest.mark.parametrize("n", range(1, 19))
     def test_stream_matches_rejection_oracle(self, n):
-        """The cut jumps only over candidates that plain generate-and-reject drops."""
+        """The cut jumps only over candidates that plain generate-and-reject
+        drops, and each first changed position is where a scan finds it."""
         pairs = itertools.zip_longest(
             treegen._level_sequences(n), oracles.level_sequences_by_rejection(n)
         )
-        for i, (got, want) in enumerate(pairs):
+        before = None
+        for i, ((got, start), want) in enumerate(pairs):
             assert got == want, f"order {n}, sequence {i}"
+            # the root is always at 0, so the first tree counts as new from 1
+            if before is None:
+                scanned = 1
+            else:
+                scanned = next(j for j, (a, b) in enumerate(zip(before, got)) if a != b)
+            assert start == scanned, f"order {n}, sequence {i}"
+            before = got
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_parents_rebuilt_from_first_changed_position(self, n):
+        """Each parent array, rebuilt only from the first changed position,
+        equals the one built from scratch from its level sequence."""
+        for i, (seq, _, parent) in enumerate(treegen.tree_stream(n)):
+            assert parent == oracles.parents_from_levels(seq), f"order {n}, tree {i}"
 
     def test_rejects_at_most_half_the_trees(self, monkeypatch):
         """Each rejected candidate calls _skip once; without the cut, 3.7 per tree at 15."""
