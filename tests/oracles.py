@@ -3,7 +3,9 @@
 Nothing here reuses the package's canonical form or generation machinery:
 trees come from Prufer codes, isomorphism classes from a center-rooted
 AHU encoding, subgraph counts from explicit triple enumeration,
-determinants from Bareiss elimination, free-tree canonicity from the
+determinants from Bareiss elimination, characteristic polynomials of
+any square matrix from general Berkowitz (the package's charpoly is its
+symmetric form), free-tree canonicity from the
 spelled-out height, size, order cascade and the free-tree stream from
 plain generate-and-reject, Newton's inequalities from their binomial
 form and unimodality by trying every peak. The one exception is scaled_poly, which rescales the package's
@@ -23,6 +25,7 @@ from collections import deque
 from fractions import Fraction
 from math import comb
 from multiprocessing import Pool
+from operator import mul
 
 from distpoly.graphs import Graph, graph_from_edges
 from distpoly.polynomials import CharPoly, charpoly
@@ -378,6 +381,40 @@ def det_at(matrix, t: int) -> int:
             row_i[k] = 0
         prev = pivot
     return sign * M[n - 1][n - 1]
+
+
+def berkowitz(matrix) -> CharPoly:
+    """det(xI - M) of any square integer matrix by general Berkowitz.
+
+    The reference for the package's charpoly, which takes symmetric input
+    only and, with the row of each step the transpose of its column, needs
+    half the Krylov vectors: here step k takes all size - 1 of them and
+    dots each with the row.
+    """
+    M = [tuple(row) for row in matrix]
+    n = len(M)
+    if any(len(row) != n for row in M):
+        raise ValueError("matrix must be square")
+    coeffs = [1]  # descending, for the trailing 0x0 principal block
+    for k in range(n - 1, -1, -1):
+        size = n - k - 1  # order of the block below and right of row k
+        toeplitz = [1, -M[k][k]]
+        if size:
+            row = M[k][k + 1:]
+            block = [r[k + 1:] for r in M[k + 1:]]
+            vec = [M[i][k] for i in range(k + 1, n)]
+            toeplitz.append(-sum(map(mul, row, vec)))
+            for _ in range(size - 1):
+                vec = [sum(map(mul, brow, vec)) for brow in block]
+                toeplitz.append(-sum(map(mul, row, vec)))
+        # entry i of the product is sum over j of toeplitz[i - j] * coeffs[j]
+        product = [0] * (len(coeffs) + 1)
+        for j, c in enumerate(coeffs):
+            for i, t in enumerate(toeplitz[: len(product) - j], j):
+                product[i] += t * c
+        coeffs = product
+    coeffs.reverse()
+    return CharPoly(n, tuple(coeffs))
 
 
 def scaled_poly(dm) -> tuple[Fraction, ...]:

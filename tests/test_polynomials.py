@@ -54,6 +54,32 @@ class TestCharpoly:
         with pytest.raises(ValueError, match="square"):
             polynomials.charpoly([[1, 2], [3, 4], [5, 6]])
 
+    def test_non_symmetric_rejected(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            polynomials.charpoly([[0, 1], [2, 0]])
+
+    def test_matches_general_berkowitz_on_random_symmetric(self):
+        rng = random.Random(83)
+        for n in range(0, 31):
+            for _ in range(3):
+                m = [[0] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i, n):
+                        m[i][j] = m[j][i] = rng.randint(-99, 99)
+                for i in rng.sample(range(n), n // 4):  # zero rows and their columns
+                    m[i] = [0] * n
+                    for row in m:
+                        row[i] = 0
+                assert polynomials.charpoly(m) == oracles.berkowitz(m), n
+
+    def test_matches_general_berkowitz_on_non_trees(self):
+        rng = random.Random(89)
+        for n in range(12, 41):
+            adj = oracles.random_connected_adj(rng, n, rng.randint(1, n))
+            g = graphs.graph_from_edges(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
+            dm = graphs.distance_matrix(g)
+            assert polynomials.charpoly(dm) == oracles.berkowitz(dm), n
+
     def test_evaluation(self):
         coeffs = (2, -3, 1)
         assert oracles.evaluate(coeffs, 0) == 2
@@ -225,6 +251,16 @@ class TestDetAt:
 
     def test_singular(self):
         assert oracles.det_at([[1, 1], [1, 1]], 0) == 0
+
+    def test_general_berkowitz_on_non_symmetric(self):
+        """The charpoly reference is exact on any square input, at n+1 points."""
+        rng = random.Random(79)
+        for n in range(0, 11):
+            for _ in range(5):
+                m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+                p = oracles.berkowitz(m)
+                for t in range(n + 1):
+                    assert oracles.evaluate(p.coeffs, t) == oracles.det_at(m, t)
 
     def test_matches_charpoly_on_random_trees(self):
         rng = random.Random(5)
