@@ -8,8 +8,8 @@ graph: it relabels a tree and hands it to analyze_tree, and gives every
 other graph BFS distances and Berkowitz; both paths share one report
 builder. verify_range streams every free tree of orders 3..n_max through
 the same tree pipeline, with the characteristic polynomial folded from
-each tree's first changed level (polynomials.level_fold) and the traces
-and 2-path count taken from its own parent array, and folds the results
+each level sequence (polynomials.level_fold) and the traces and 2-path
+count taken from its own parent array, and folds the results
 into an aggregate whose content is independent of the worker count. With
 worker processes, each one walks the whole tree stream itself, analyzes
 every jobs-th chunk of it, and sends the results down its own one-way
@@ -284,26 +284,17 @@ _SLACKS = ("thm_lo", "thm_hi", "conj_lo", "conj_hi")
 
 def _sweep(n: int, want_per_tree: bool, rank: int = 0, jobs: int = 1):
     """Stats, violations and (if asked) per-tree reports of chunks rank,
-    rank + jobs, rank + 2*jobs, ... of the order-n tree stream.
-
-    Only those chunks are folded: each tree restarts the fold at the
-    least first changed position since the last tree folded, which, the
-    sequences being in lexicographic order, is where the two differ."""
+    rank + jobs, rank + 2*jobs, ... of the order-n tree stream."""
     fold = polynomials.level_fold(n)
-    restart = 1
     trees = enumerate(treegen.tree_stream(n))
     chunks = iter(lambda: list(islice(trees, _CHUNK_SIZE)), [])
-    for index, chunk in enumerate(chunks):
-        if index % jobs != rank:
-            restart = min(restart, *(start for _, (_, start, _) in chunk))
-            continue
+    for chunk in islice(chunks, rank, None, jobs):
         stats = OrderStats(trees=len(chunk))
         slacks: list[tuple[int, ...]] = []
         violations: list[dict] = []
         per_tree: list[dict] = []
-        for tree_id, (seq, start, parent) in chunk:
-            report = _tree_report(parent, fold(seq, min(restart, start)), tree_id)
-            restart = n
+        for tree_id, (seq, parent) in chunk:
+            report = _tree_report(parent, fold(seq), tree_id)
             first, last = report.peak.first, report.peak.last
             b = report.bounds
             stats.peak_histogram[first] += 1

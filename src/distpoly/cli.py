@@ -9,6 +9,7 @@ pipe ends the command silently, as it does other filters.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import signal
 import sys
@@ -75,19 +76,21 @@ def _cmd_verify(args) -> int:
         def sink(item: dict) -> None:
             print(json.dumps(item, separators=(",", ":")))
 
-    try:
-        report = analysis.verify_range(args.max_order, jobs=args.jobs, per_tree_sink=sink)
-    except analysis.SweepInterrupted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    payload = analysis.aggregate_report_to_json(report)
-    if args.output:
-        Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
-    elif args.per_tree:
-        # keep stdout line-oriented when a JSONL stream precedes the summary
-        print(json.dumps(payload, separators=(",", ":")))
-    else:
-        print(json.dumps(payload, indent=2))
+    # opened first, as a shell redirection is, so a bad path fails before the sweep
+    with open(args.output, "w") if args.output else contextlib.nullcontext() as output:
+        try:
+            report = analysis.verify_range(args.max_order, jobs=args.jobs, per_tree_sink=sink)
+        except analysis.SweepInterrupted as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        payload = analysis.aggregate_report_to_json(report)
+        if output:
+            output.write(json.dumps(payload, indent=2) + "\n")
+        elif args.per_tree:
+            # keep stdout line-oriented when a JSONL stream precedes the summary
+            print(json.dumps(payload, separators=(",", ":")))
+        else:
+            print(json.dumps(payload, indent=2))
     return 1 if report.total_violations else 0
 
 

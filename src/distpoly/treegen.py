@@ -22,9 +22,8 @@ without the cut).
 
 Each step to a successor keeps every position before the one it lowers,
 so the stream also knows where each sequence first differs from the one
-before it. tree_stream yields that position with the sequence, and
-rebuilds the parent array from it only; the sweep restarts its kernel
-there too (polynomials.level_fold).
+before it, and tree_stream rebuilds each parent array from that position
+only.
 """
 
 from __future__ import annotations
@@ -115,16 +114,14 @@ def _level_sequences(n: int) -> Iterator[tuple[list[int], int]]:
             return
 
 
-def tree_stream(n: int) -> Iterator[tuple[list[int], int, tuple[int, ...]]]:
-    """(level sequence, first changed position, parent array) of each tree.
+def tree_stream(n: int) -> Iterator[tuple[list[int], tuple[int, ...]]]:
+    """(level sequence, parent array) of each tree.
 
-    The trees and their order are those of enumerate_trees. The first
-    changed position is the first index at which the level sequence
-    differs from the one before it (1 for the first tree; index 0 is
-    always the root), so everything before it describes the same rooted
-    prefix as in the previous tree. The parent array is rebuilt from that
-    position only: the parent of i is the first vertex at a lower depth
-    on the way up from i - 1. The yielded lists are never changed later.
+    The trees and their order are those of enumerate_trees. Each parent
+    array is rebuilt only from the first index at which the level sequence
+    differs from the one before, as the prefix before it is unchanged: the
+    parent of i is the first vertex at a lower depth on the way up from
+    i - 1. The yielded lists are never changed later.
     """
     if n < 1:
         raise ValueError("tree order must be at least 1")
@@ -136,7 +133,7 @@ def tree_stream(n: int) -> Iterator[tuple[list[int], int, tuple[int, ...]]]:
             while seq[u] >= d:
                 u = parent[u]
             parent[i] = u
-        yield seq, start, tuple(parent)
+        yield seq, tuple(parent)
 
 
 def enumerate_trees(n: int) -> Iterator[CanonicalTree]:
@@ -145,7 +142,7 @@ def enumerate_trees(n: int) -> Iterator[CanonicalTree]:
     The stream order is deterministic: canonical level sequences in
     decreasing lexicographic order.
     """
-    for _, _, parent in tree_stream(n):
+    for _, parent in tree_stream(n):
         yield CanonicalTree(n, parent)
 
 

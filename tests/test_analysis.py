@@ -164,8 +164,8 @@ class TestVerifyRange:
     def test_chunk_boundaries_do_not_change_aggregate(self, monkeypatch, chunk, jobs):
         # every order <= 11 fits in one default chunk, so small chunks are
         # what exercises the merge of chunk stats, the stride of chunks
-        # over the workers, and each worker's restart of the fold at the
-        # start of its chunks, at these orders
+        # over the workers, and each worker's fold jumping over the chunks
+        # it skips, at these orders
         def aggregate(**kwargs):
             data = analysis.aggregate_report_to_json(analysis.verify_range(10, **kwargs))
             data.pop("run")
@@ -190,7 +190,7 @@ class TestVerifyRange:
         analysis.verify_range(8, jobs=1, per_tree_sink=serial.append)
         # chunks of 7 split order 8 into four, so the items of the workers
         # interleave; of three workers, the third has no chunk below order 8;
-        # chunks of 1 make every tree a restart of some worker's fold
+        # chunks of 1 make every fold of a worker jump over skipped trees
         for chunk, jobs in [(analysis._CHUNK_SIZE, 2), (7, 2), (7, 3), (1, 2), (1, 3)]:
             monkeypatch.setattr(analysis, "_CHUNK_SIZE", chunk)
             parallel = []

@@ -192,6 +192,21 @@ class TestVerifyCommand:
         payload = json.loads(target.read_text())
         assert payload["total_trees"] == 6
 
+    def test_unwritable_output_fails_before_the_sweep(self, capsys, monkeypatch, tmp_path):
+        from distpoly import analysis
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before the output path was checked")
+
+        monkeypatch.setattr(analysis, "verify_range", no_sweep)
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(
+            capsys, "verify", "--max-order", "14", "--output", str(target)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_per_tree_stream(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--max-order", "5", "--per-tree")
         assert code == 0

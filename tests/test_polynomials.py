@@ -141,8 +141,9 @@ class TestTreeCharpoly:
 
 
 class TestLevelFold:
-    """The fold over the tree stream, restarting each tree from its first
-    changed position, against the leaf-to-root kernel in tests/oracles.py."""
+    """The fold, which refolds each sequence from where it first differs from
+    the last one it folded, against the leaf-to-root kernel in
+    tests/oracles.py."""
 
     def test_leaf_to_root_reference_matches_berkowitz(self):
         for n in range(3, 11):
@@ -153,17 +154,36 @@ class TestLevelFold:
     @pytest.mark.parametrize("n", range(3, 17))
     def test_stream_fold_matches_leaf_to_root_kernel(self, n):
         fold = polynomials.level_fold(n)
-        for i, (seq, start, parent) in enumerate(treegen.tree_stream(n)):
-            assert fold(seq, start) == oracles.tree_charpoly_leaf_to_root(parent), (n, i)
+        for i, (seq, parent) in enumerate(treegen.tree_stream(n)):
+            assert fold(seq) == oracles.tree_charpoly_leaf_to_root(parent), (n, i)
 
-    def test_any_earlier_restart_gives_the_same_polynomial(self):
+    def test_shuffled_stream_with_repeats_matches_leaf_to_root_kernel(self):
         rng = random.Random(101)
-        for n in range(3, 12):
+        for n in range(3, 13):
+            trees = [(seq, oracles.tree_charpoly_leaf_to_root(parent))
+                     for seq, parent in treegen.tree_stream(n)] * 2
+            rng.shuffle(trees)
             fold = polynomials.level_fold(n)
-            for seq, start, parent in treegen.tree_stream(n):
-                expected = fold(seq, start)
-                assert fold(seq, rng.randint(1, start)) == expected
-                assert polynomials.tree_charpoly(parent) == expected
+            for seq, expected in trees:
+                assert fold(seq) == expected, (n, seq)
+
+    def test_caller_changing_its_list_later_does_not_reach_the_fold(self):
+        # the caller reuses one list for the path and then the star
+        (path, _), *_, (star, parent) = treegen.tree_stream(8)
+        fold = polynomials.level_fold(8)
+        seq = list(path)
+        fold(seq)
+        seq[:] = star
+        assert fold(seq) == oracles.tree_charpoly_leaf_to_root(parent)
+
+    def test_fold_that_raises_midway_leaves_the_next_one_right(self):
+        fold = polynomials.level_fold(8)
+        fold([0, 1, 2, 3, 4, 1, 2, 3])
+        with pytest.raises(TypeError):  # a step to depth 0 closes the root
+            fold([0, 1, 2, 3, 4, 1, 1, 0])
+        # first differs from the first sequence at 7, past the state the failed fold overwrote
+        seq = [0, 1, 2, 3, 4, 1, 2, 1]
+        assert fold(seq) == oracles.tree_charpoly_leaf_to_root(oracles.parents_from_levels(seq))
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_small_order_rejected(self, n):

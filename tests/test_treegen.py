@@ -85,7 +85,7 @@ class TestStreamProperties:
     def test_parents_rebuilt_from_first_changed_position(self, n):
         """Each parent array, rebuilt only from the first changed position,
         equals the one built from scratch from its level sequence."""
-        for i, (seq, _, parent) in enumerate(treegen.tree_stream(n)):
+        for i, (seq, parent) in enumerate(treegen.tree_stream(n)):
             assert parent == oracles.parents_from_levels(seq), f"order {n}, tree {i}"
 
     def test_rejects_at_most_half_the_trees(self, monkeypatch):
