@@ -2,18 +2,18 @@
 
 analyze_tree runs the full pipeline (characteristic polynomial, trace
 identities, coefficient sequences, predicates, bounds) on a tree given
-as a parent array, each parent labeled before its child, with the packed
-tree kernels and no distance matrix. analyze_graph takes any connected
-graph: it relabels a tree and hands it to analyze_tree, and gives every
-other graph BFS distances and Berkowitz; both paths share one report
-builder. verify_range streams every free tree of orders 3..n_max through
-the same tree pipeline, with the characteristic polynomial folded from
-each level sequence (polynomials.level_fold) and the traces and 2-path
-count taken from its own parent array, and folds the results
-into an aggregate whose content is independent of the worker count. With
-worker processes, each one walks the whole tree stream itself, analyzes
-every jobs-th chunk of it, and sends the results down its own one-way
-pipe.
+as a preorder parent array, with the packed tree kernels and no distance
+matrix. analyze_graph takes any connected graph: it relabels a tree into
+a preorder (treegen.preorder_parents, the one relabeler) and hands it to
+analyze_tree, and gives every other graph BFS distances and Berkowitz;
+both paths share one report builder. verify_range streams every free
+tree of orders 3..n_max through the same tree pipeline, with the
+characteristic polynomial folded from each level sequence
+(polynomials.level_fold) and the traces and 2-path count taken from its
+own parent array, and folds the results into an aggregate whose content
+is independent of the worker count. With worker processes, each one
+walks the whole tree stream itself, analyzes every jobs-th chunk of it,
+and sends the results down its own one-way pipe.
 
 JSON conventions: coefficient-sized integers are serialized as decimal
 strings because they outgrow 64-bit range quickly; dyadic rationals are
@@ -113,11 +113,12 @@ class AggregateReport:
 
 
 def analyze_tree(parent, tree_id: int | None = None) -> TreeReport:
-    """Run the full pipeline on a tree given as a parent array.
+    """Run the full pipeline on a tree given as a preorder parent array.
 
     The array follows treegen.CanonicalTree.parent: parent[0] == -1 and
-    each parent before its child. No Graph or distance matrix is built.
-    Raises ValueError on any other array or an order below 3.
+    each other parent[i] on the root path of i - 1. No Graph or distance
+    matrix is built. Raises ValueError on any other array or an order
+    below 3; treegen.preorder_parents relabels a tree Graph into the form.
     """
     return _tree_report(parent, polynomials.tree_charpoly(parent), tree_id)
 

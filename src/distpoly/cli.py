@@ -23,10 +23,12 @@ _BUILTINS = {"heawood": graphs.heawood}
 def _load_graph(path: str, fmt: str) -> graphs.Graph:
     text = Path(path).read_text()
     if fmt == "graph6":
-        for line in text.splitlines():
-            if line.strip():
-                return graphs.from_graph6(line)
-        raise graphs.GraphParseError("no graph6 data in input file")
+        lines = [line for line in text.splitlines() if line.strip()]
+        if not lines:
+            raise graphs.GraphParseError("no graph6 data in input file")
+        if len(lines) > 1:
+            raise graphs.GraphParseError(f"{len(lines)} graph6 lines: one graph per file")
+        return graphs.from_graph6(lines[0])
     return graphs.from_edge_list(text)
 
 

@@ -11,9 +11,9 @@ check both against an independent Bareiss determinant (tests/oracles.py).
 The tree kernel folds a level sequence in preorder and keeps the state of
 every prefix, so a fold (level_fold) refolds each tree only from where it
 first differs from the last one folded; tree_charpoly folds one tree
-given as a parent array that labels each parent before its child.
-tree_traces packs distance rows the same way, from the parent array, so
-no tree ever forms its distance matrix.
+given as a preorder parent array, the one tree form that both kernels
+take and that _levels checks. tree_traces packs distance rows the same
+way, from the parent array, so no tree ever forms its distance matrix.
 Normalized coefficients are ints wherever they are integral, which they
 are for every tree, so only non-trees ever build a Fraction.
 """
@@ -85,55 +85,31 @@ def charpoly(matrix) -> CharPoly:
     return CharPoly(n, tuple(coeffs))
 
 
-def _depths(parent) -> list[int]:
-    """Vertex depths of a parent array of order at least 3.
+def _levels(parent) -> list[int]:
+    """Level sequence of a tree given as a preorder parent array.
 
-    Raises ValueError unless parent[0] == -1 and 0 <= parent[i] < i for
-    every other i. Parent before child is all tree_traces needs: each of
-    its passes runs leaf to root, so a child is summed in before its
-    parent, or root to leaf, so a parent's row is ready before its child's.
-    The fold behind tree_charpoly needs a preorder (_preorder_levels).
+    Raises ValueError unless the order is at least 3, parent[0] == -1 and
+    each other parent[i] lies on the root path of i - 1: the preorder
+    that treegen.tree_stream and treegen.preorder_parents give. The fold
+    behind tree_charpoly needs a preorder; tree_traces needs only each
+    parent before its child, but takes the same form, so one check
+    serves both.
     """
     n = len(parent)
     if n < 3:
         raise ValueError("tree kernel needs order at least 3")
     if parent[0] != -1:
         raise ValueError("parent[0] must be -1, the root")
-    depth = [0] * n
+    levels = [0] * n
+    # last[d] = latest vertex at depth d; for d <= levels[i - 1] it lies
+    # on the root path of i - 1
+    last = [0] * n
     for i in range(1, n):
         p = parent[i]
-        if not 0 <= p < i:
-            raise ValueError(f"parent[{i}] = {p} is not a vertex before {i}")
-        depth[i] = depth[p] + 1
-    return depth
-
-
-def _preorder_levels(parent) -> list[int]:
-    """Level sequence of a preorder of the tree of a parent array.
-
-    parent itself when it is a preorder, that is, when each parent[i] lies
-    on the root path of i - 1; any other parent-before-child array is
-    relabeled by one depth-first walk. Raises ValueError as _depths does.
-    """
-    depth = _depths(parent)
-    n = len(parent)
-    last = [0] * n  # last[d] = latest vertex at depth d
-    for i in range(1, n):
-        d = depth[i]
-        if d > depth[i - 1] + 1 or last[d - 1] != parent[i]:
-            break
+        if not 0 <= p < i or levels[p] > levels[i - 1] or last[levels[p]] != p:
+            raise ValueError(f"parent[{i}] = {p} is not on the root path of vertex {i - 1}")
+        levels[i] = d = levels[p] + 1
         last[d] = i
-    else:
-        return depth
-    children: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n - 1, 0, -1):
-        children[parent[i]].append(i)
-    levels = []
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        levels.append(depth[v])
-        stack += children[v]
     return levels
 
 
@@ -144,6 +120,9 @@ def level_fold(n: int):
     Returns charpoly(seq): seq is a preorder list of depths, the root
     first at depth 0. Any sequence may follow any other: the fold compares
     seq with a copy of the last one and refolds from where they differ.
+    charpoly raises ValueError unless len(seq) == n, seq[0] == 0 and
+    1 <= seq[i] <= seq[i - 1] + 1 for every i > 0; only the refolded
+    suffix is scanned, since the prefix was checked when it was folded.
 
     Graham and Lovasz give D^-1 = -L/2 + tau tau^T / (2(n-1)) with
     tau_v = 2 - deg v, so the matrix determinant lemma yields
@@ -216,6 +195,8 @@ def level_fold(n: int):
     last = [0]  # a copy of the last sequence folded, as far as snaps hold it
 
     def charpoly(seq) -> CharPoly:
+        if len(seq) != n or seq[0] != 0:
+            raise ValueError(f"a level sequence of order {n} has {n} depths, from 0")
         start = 1
         stop = len(last)
         while start < stop and seq[start] == last[start]:
@@ -225,6 +206,8 @@ def level_fold(n: int):
         prev = seq[start - 1]
         # a last step to depth 1 closes every vertex below the root
         for i, d in enumerate(chain(islice(seq, start, None), (1,)), start):
+            if not 0 < d <= prev + 1:
+                raise ValueError(f"seq[{i}] = {d} after {prev}: not a level sequence")
             if d > prev:  # vertex i - 1 is the parent of i
                 state = (0, 1, 0, 0, 0, 0, state)
             else:  # vertex i - 1 is a leaf
@@ -276,16 +259,14 @@ def level_fold(n: int):
 
 
 def tree_charpoly(parent) -> CharPoly:
-    """det(xI - D) of a tree from its parent array; D is never formed.
+    """det(xI - D) of a tree from its preorder parent array; D is never
+    formed.
 
-    A fresh level_fold of the level sequence of a preorder of the tree.
-    parent[0] == -1 marks the root and every other parent[i] < i, so each
-    parent comes before its child; a preorder (enumerate_trees and
-    treegen.preorder_parents give one) is read as it is, and any other
-    such labeling is relabeled into one first. Raises ValueError on any
-    other array or when the order is below 3.
+    A fresh level_fold of the array's level sequence. Raises ValueError
+    on any array that is not a preorder (see _levels) and when the order
+    is below 3.
     """
-    return level_fold(len(parent))(_preorder_levels(parent))
+    return level_fold(len(parent))(_levels(parent))
 
 
 def delta_seq(p: CharPoly) -> tuple[int, ...]:
@@ -335,7 +316,7 @@ def trace_power(matrix) -> tuple[int, int]:
 
 
 def tree_traces(parent) -> tuple[int, int, int]:
-    """(tr(D^2), tr(D^3), diameter) of a tree from its parent array.
+    """(tr(D^2), tr(D^3), diameter) of a tree from its preorder parent array.
 
     D is never formed. Each row of D, D^2 and D^3 is one int, its value at
     X = 2^b: row i of a matrix M is sum_j M_ij X^j. For any rows M_j,
@@ -361,7 +342,7 @@ def tree_traces(parent) -> tuple[int, int, int]:
     Takes the same parent arrays as tree_charpoly and raises ValueError
     on the same malformed inputs.
     """
-    depth = _depths(parent)
+    depth = _levels(parent)
     n = len(parent)
     b = (n ** 5).bit_length() + 1
     mask = (1 << b) - 1

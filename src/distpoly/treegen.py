@@ -22,8 +22,10 @@ without the cut).
 
 Each step to a successor keeps every position before the one it lowers,
 so the stream also knows where each sequence first differs from the one
-before it, and tree_stream rebuilds each parent array from that position
-only.
+before it, and tree_stream, the one generator, rebuilds each parent
+array from that position only. Its parent arrays are preorders, the one
+tree form of the kernels in polynomials; preorder_parents relabels any
+tree Graph into one.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ class CanonicalTree:
     """Free tree in canonical rooted form; two are equal iff isomorphic."""
 
     n: int
-    parent: tuple[int, ...]  # parent[0] == ROOT and parent[i] < i for i >= 1
+    parent: tuple[int, ...]  # a preorder: parent[0] == ROOT, parent[i] on the root path of i - 1
 
 
 def _start_sequence(n: int) -> list[int]:
@@ -82,17 +84,30 @@ def _skip(seq: list[int], m: int, cap: int) -> tuple[int, list[int]]:
     return m - 1, _successor_at(seq, m - 1)
 
 
-def _level_sequences(n: int) -> Iterator[tuple[list[int], int]]:
-    # each sequence with its first position that differs from the one
-    # before (1 for the first): every step keeps the positions before its
-    # own and lowers that one, so over one `next` it is the least of them
-    if n <= 2:
-        yield list(range(n)), 1
-        return
+def tree_stream(n: int) -> Iterator[tuple[list[int], tuple[int, ...]]]:
+    """(level sequence, parent array) of each tree.
+
+    The trees and their order are those of enumerate_trees. Each parent
+    array is rebuilt only from the first index at which the level sequence
+    differs from the one before, as the prefix before it is unchanged: the
+    parent of i is the first vertex at a lower depth on the way up from
+    i - 1. The yielded lists are never changed later.
+    """
+    if n < 1:
+        raise ValueError("tree order must be at least 1")
     seq = _start_sequence(n)
-    first = 1
+    parent = [ROOT] * n
+    first = 1  # the root is always at 0, so the first tree counts as new from 1
     while True:
-        yield seq, first
+        for i in range(first, n):
+            d = seq[i]
+            u = i - 1
+            while seq[u] >= d:
+                u = parent[u]
+            parent[i] = u
+        yield seq, tuple(parent)
+        # every step keeps the positions before its own and lowers that
+        # one, so over the steps to the next tree, first is the least of them
         step = _rooted_successor(seq)
         first = n
         while step is not None:
@@ -114,28 +129,6 @@ def _level_sequences(n: int) -> Iterator[tuple[list[int], int]]:
             return
 
 
-def tree_stream(n: int) -> Iterator[tuple[list[int], tuple[int, ...]]]:
-    """(level sequence, parent array) of each tree.
-
-    The trees and their order are those of enumerate_trees. Each parent
-    array is rebuilt only from the first index at which the level sequence
-    differs from the one before, as the prefix before it is unchanged: the
-    parent of i is the first vertex at a lower depth on the way up from
-    i - 1. The yielded lists are never changed later.
-    """
-    if n < 1:
-        raise ValueError("tree order must be at least 1")
-    parent = [ROOT] * n
-    for seq, start in _level_sequences(n):
-        for i in range(start, n):
-            d = seq[i]
-            u = i - 1
-            while seq[u] >= d:
-                u = parent[u]
-            parent[i] = u
-        yield seq, tuple(parent)
-
-
 def enumerate_trees(n: int) -> Iterator[CanonicalTree]:
     """Yield every isomorphism class of free trees on n vertices once.
 
@@ -154,8 +147,9 @@ def to_graph(tree: CanonicalTree) -> Graph:
 def preorder_parents(g: Graph) -> tuple[int, ...]:
     """Parent array of a tree, relabeled by a depth-first preorder from 0.
 
-    parent[0] == ROOT and each parent comes before its child, as the tree
-    kernels in polynomials need. Raises ValueError unless g is a tree.
+    parent[0] == ROOT and each other parent[i] lies on the root path of
+    i - 1, the one tree form of the kernels in polynomials. Raises
+    ValueError unless g is a tree.
     """
     n = g.n
     label = [-1] * n

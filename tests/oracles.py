@@ -103,6 +103,21 @@ def random_bfs_parents(rng, parent) -> tuple[int, ...]:
     return tuple(relabeled)
 
 
+def is_preorder(parent) -> bool:
+    """Whether each parent[i], i > 0, lies on the root path of i - 1.
+
+    Walks each root path up, where the tree kernels track it; parent must
+    list each parent before its child.
+    """
+    for i in range(1, len(parent)):
+        v = i - 1
+        while v != parent[i]:
+            if v == 0:
+                return False
+            v = parent[v]
+    return True
+
+
 def ahu_form(adj) -> tuple:
     """Canonical nested-tuple encoding of a free tree, rooted at a center.
 

