@@ -120,13 +120,15 @@ def analyze_tree(parent, tree_id: int | None = None) -> TreeReport:
     matrix is built. Raises ValueError on any other array or an order
     below 3; treegen.preorder_parents relabels a tree Graph into the form.
     """
-    return _tree_report(parent, polynomials.tree_charpoly(parent), tree_id)
+    levels = polynomials._levels(parent)  # checked once, for both kernels
+    return _tree_report(parent, levels, polynomials.level_fold(len(parent))(levels), tree_id)
 
 
-def _tree_report(parent, poly: polynomials.CharPoly, tree_id: int | None) -> TreeReport:
-    # the traces and p3 come from the tree's own parent array, so the
-    # trace identities and the d_1 formula check poly against that tree
-    tr2, tr3, diam = polynomials.tree_traces(parent)
+def _tree_report(parent, levels, poly: polynomials.CharPoly, tree_id: int | None) -> TreeReport:
+    # the traces and p3 come from the tree's own parent array and checked
+    # level sequence, so the trace identities and the d_1 formula check
+    # poly against that tree
+    tr2, tr3, diam = polynomials._traces(parent, levels)
     degree = [1] * len(parent)
     degree[0] = 0
     for p in parent[1:]:
@@ -174,36 +176,32 @@ def _report(
     peak = sequences.peak_interval(d)
 
     n = poly.n
-    checks: dict[str, bool | None] = {}
-    checks["trace_identities"] = 2 * d[-1] == tr2 and 6 * d[-2] == tr3
-    checks["log_concave"] = sequences.is_log_concave(d)
-    checks["unimodal"] = sequences.is_unimodal(d)
-    checks["newton"] = sequences.newton_check(poly.coeffs)
+    checks: dict[str, bool | None] = {
+        "trace_identities": 2 * d[-1] == tr2 and 6 * d[-2] == tr3,
+        "log_concave": sequences.is_log_concave(d),
+        "unimodal": sequences.is_unimodal(d),
+        "newton": sequences.newton_check(poly.coeffs),
+    }
 
     bounds: sequences.BoundSet | None = None
     if tree:
         # (-1)^(n-1) delta_k = -c_k, and normalized_seq gives d_k as an int
         # exactly when 2^(n-k-2) divides delta_k
-        checks["sign_pattern"] = all(c < 0 for c in poly.coeffs[: n - 1])
-        checks["divisibility"] = not any(isinstance(x, Fraction) for x in d)
+        checks["sign_pattern"] = max(poly.coeffs[: n - 1]) < 0
+        checks["divisibility"] = Fraction not in map(type, d)
         checks["d0_formula"] = d[0] == n - 1
         checks["d1_formula"] = d[1] == 2 * n * (n - 1) - 2 * p3 - 4
         checks["ratio_bound"] = sequences.ratio_bound_check(d, diam)
         bounds = sequences.bound_set(n, p3, diam)
-        two_thirds = -(-2 * n // 3)
         checks["theorem_bounds"] = (
-            bounds.thm_lo <= peak.first
-            and peak.last <= bounds.thm_hi
-            and bounds.thm_hi <= two_thirds
+            bounds.thm_lo <= peak.first and peak.last <= bounds.thm_hi <= sequences.theorem_cap(n)
         )
-        checks["conjecture_bounds"] = (
-            bounds.conj_lo <= peak.first and peak.last <= bounds.conj_hi
-        )
+        checks["conjecture_bounds"] = bounds.conj_lo <= peak.first and peak.last <= bounds.conj_hi
     else:
         for name in TREE_CHECKS:
             checks[name] = None
 
-    failed = tuple(name for name in CHECK_NAMES if checks[name] is False) if tree else ()
+    failed = tuple([name for name in CHECK_NAMES if checks[name] is False]) if tree else ()
     return TreeReport(
         n=n,
         tree_id=tree_id,
@@ -295,7 +293,8 @@ def _sweep(n: int, want_per_tree: bool, rank: int = 0, jobs: int = 1):
         violations: list[dict] = []
         per_tree: list[dict] = []
         for tree_id, (seq, parent) in chunk:
-            report = _tree_report(parent, fold(seq), tree_id)
+            # the fold checks seq, so the traces take it as the levels of parent
+            report = _tree_report(parent, seq, fold(seq), tree_id)
             first, last = report.peak.first, report.peak.last
             b = report.bounds
             stats.peak_histogram[first] += 1
@@ -343,6 +342,14 @@ def _received(readers):
         raise EOFError(exc) from exc
 
 
+def check_sweep_args(n_max: int, jobs: int) -> None:
+    """Raise ValueError unless verify_range(n_max, jobs) can start."""
+    if n_max < 3:
+        raise ValueError("max order must be at least 3")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
+
+
 def verify_range(
     n_max: int,
     jobs: int = 1,
@@ -361,10 +368,7 @@ def verify_range(
     are killed on the way out, while the main thread ignores Ctrl-C; a
     worker whose main process is gone ends at its next send.
     """
-    if n_max < 3:
-        raise ValueError("max order must be at least 3")
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
+    check_sweep_args(n_max, jobs)
     started = time.perf_counter()
     orders: dict[int, OrderStats] = {}
     violations: list[dict] = []

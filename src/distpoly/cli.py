@@ -78,7 +78,9 @@ def _cmd_verify(args) -> int:
         def sink(item: dict) -> None:
             print(json.dumps(item, separators=(",", ":")))
 
-    # opened first, as a shell redirection is, so a bad path fails before the sweep
+    # a usage error must leave an existing output file as it was
+    analysis.check_sweep_args(args.max_order, args.jobs)
+    # opened before the sweep, as a shell redirection is, so a bad path fails first
     with open(args.output, "w") if args.output else contextlib.nullcontext() as output:
         try:
             report = analysis.verify_range(args.max_order, jobs=args.jobs, per_tree_sink=sink)

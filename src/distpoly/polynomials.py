@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
-from operator import mul
+from itertools import chain, islice, repeat
+from operator import and_, lshift, mul, neg, rshift
 
 
 def _rows(matrix) -> list[tuple[int, ...]]:
@@ -273,8 +273,7 @@ def delta_seq(p: CharPoly) -> tuple[int, ...]:
     """Coefficients delta_0..delta_n of det(M - xI): delta_k = (-1)^n c_k."""
     if not p.coeffs or p.coeffs[-1] != 1:
         raise ValueError("characteristic polynomial must be monic")
-    sign = -1 if p.n % 2 else 1
-    return tuple(sign * c for c in p.coeffs)
+    return tuple(map(neg, p.coeffs)) if p.n % 2 else tuple(p.coeffs)
 
 
 def normalized_seq(delta: tuple[int, ...]) -> tuple[int | Fraction, ...]:
@@ -325,37 +324,55 @@ def tree_traces(parent) -> tuple[int, int, int]:
     (DM)_i = (DM)_p + total - 2 sub_i, where total sums every M_j and
     sub_i sums M_j over the subtree of i, accumulated leaf to root; the
     root's row is sum_j depth_j M_j. That one step, applied three times
-    from the identity rows X^j, gives the rows of D, then D^2, then D^3,
-    and each trace sums digit i of row i. The diameter is the largest
-    digit of the row of D at a deepest vertex, since a vertex farthest
-    from the root ends a longest path.
+    from the identity rows X^j, gives the rows of D, then D^2, then D^3.
+    Each trace is read in one pass: row i shifted down by i digits has
+    digit i of row i as its digit 0, so digit 0 of the sum of the shifted
+    rows is the trace. The diameter is the largest digit of the row of D
+    at a deepest vertex, since a vertex farthest from the root ends a
+    longest path.
 
     All of it is O(n) big-int additions per step, against the O(n^3) of
     trace_power on D. It uses only the path metric, not the Laplacian
     identity behind tree_charpoly, so the trace identities check that
     kernel independently. Every int here is a polynomial in X with
-    nonnegative coefficients, so reading its base-X digits is exact when
-    each coefficient is below X. The largest are the entries of D^3:
-    sums of n terms d(i, j) (D^2)_jk, each below n * n^3, so below
-    n^5 < X = 2^(bitlen(n^5) + 1).
+    nonnegative coefficients, so its base-X digits read exactly when each
+    coefficient is below X. The largest entries are those of D^3: with
+    d(i, j) < n, entries of D^2 are sums of n terms below n^2, so below
+    n^3, and entries of D^3 sums of n terms below n * n^3, so below n^5.
+    A carry only moves up, so digit 0 of a sum of shifted rows, the
+    lowest, is the trace modulo X; it is the trace itself because the
+    trace sums n diagonal entries below n^5, so it is below
+    n^6 < X = 2^(bitlen(n^6) + 1).
 
     Takes the same parent arrays as tree_charpoly and raises ValueError
     on the same malformed inputs.
     """
-    depth = _levels(parent)
+    return _traces(parent, _levels(parent))
+
+
+def _traces(parent, levels) -> tuple[int, int, int]:
+    """tree_traces of a preorder parent array whose level sequence is
+    already known and checked, as a stream tree's is."""
     n = len(parent)
-    b = (n ** 5).bit_length() + 1
+    b = (n ** 6).bit_length() + 1
     mask = (1 << b) - 1
-    rows = [1 << j * b for j in range(n)]  # the identity
-    powers = []
-    for _ in range(3):  # rows of D, then of D^2, then of D^3
+    digits = range(0, n * b, b)  # the shift of each digit
+
+    def times_d(rows):
+        """The rows of D M from the rows of M."""
         sub = rows[:]
         for i in range(n - 1, 0, -1):
             sub[parent[i]] += sub[i]
-        rows = [sum(map(mul, depth, rows))] * n
+        total = sub[0]
+        out = [sum(map(mul, levels, rows))] * n
         for i in range(1, n):
-            rows[i] = rows[parent[i]] + sub[0] - 2 * sub[i]
-        powers.append(rows)
-    tr2, tr3 = (sum((row >> i * b) & mask for i, row in enumerate(p)) for p in powers[1:])
-    far = powers[0][depth.index(max(depth))]
-    return tr2, tr3, max((far >> j * b) & mask for j in range(n))
+            out[i] = out[parent[i]] + total - 2 * sub[i]
+        return out
+
+    d1 = times_d(list(map(lshift, repeat(1), digits)))  # from the identity rows X^j
+    d2 = times_d(d1)
+    d3 = times_d(d2)
+    tr2 = sum(map(rshift, d2, digits)) & mask
+    tr3 = sum(map(rshift, d3, digits)) & mask
+    far = d1[levels.index(max(levels))]
+    return tr2, tr3, max(map(and_, map(rshift, repeat(far), digits), repeat(mask)))

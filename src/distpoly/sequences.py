@@ -9,6 +9,7 @@ bound by one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb, isqrt
 
 
@@ -32,15 +33,17 @@ class BoundSet:
 
 def is_unimodal(seq) -> bool:
     """Nondecreasing up to some index, nonincreasing after it."""
-    values = list(seq)
+    values = tuple(seq)
     if not values:
         raise ValueError("empty sequence")
-    i = 1
-    while i < len(values) and values[i - 1] <= values[i]:
-        i += 1
-    while i < len(values) and values[i - 1] >= values[i]:
-        i += 1
-    return i == len(values)
+    pairs = zip(values, values[1:])
+    for a, b in pairs:  # up to the first descent
+        if a > b:
+            break
+    for a, b in pairs:
+        if a < b:
+            return False
+    return True
 
 
 def is_log_concave(seq) -> bool:
@@ -49,13 +52,22 @@ def is_log_concave(seq) -> bool:
     The literal inequality is used; positivity is not assumed here and is
     checked separately where an argument needs it.
     """
-    values = list(seq)
+    values = tuple(seq)
     if not values:
         raise ValueError("empty sequence")
-    for j in range(1, len(values) - 1):
-        if values[j] * values[j] < values[j - 1] * values[j + 1]:
+    for a, b, c in zip(values, values[1:], values[2:]):
+        if b * b < a * c:
             return False
     return True
+
+
+@cache
+def _newton_weights(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """j(n-j) and (j+1)(n-j+1) for 1 <= j <= n-1, once per order n."""
+    return (
+        tuple([j * (n - j) for j in range(1, n)]),
+        tuple([(j + 1) * (n - j + 1) for j in range(1, n)]),
+    )
 
 
 def newton_check(coeffs) -> bool:
@@ -66,25 +78,32 @@ def newton_check(coeffs) -> bool:
     a_j^2 C(n,j+1) C(n,j-1) >= a_{j-1} a_{j+1} C(n,j)^2 multiplied by the
     positive (j+1)(n-j+1) / C(n,j)^2.
     """
-    values = list(coeffs)
+    values = tuple(coeffs)
     if len(values) < 2:
         raise ValueError("need at least two coefficients")
-    n = len(values) - 1
-    for j in range(1, n):
-        if values[j] ** 2 * j * (n - j) < values[j - 1] * values[j + 1] * (j + 1) * (n - j + 1):
+    left, right = _newton_weights(len(values) - 1)
+    for a, b, c, wb, wac in zip(values, values[1:], values[2:], left, right):
+        if b * b * wb < a * c * wac:
             return False
     return True
 
 
 def peak_interval(seq) -> PeakInterval:
     """First and last argmax indices; a plateau yields first < last."""
-    values = list(seq)
+    values = tuple(seq)
     if not values:
         raise ValueError("empty sequence")
     top = max(values)
-    first = values.index(top)
-    last = len(values) - 1 - values[::-1].index(top)
-    return PeakInterval(first, last)
+    return PeakInterval(values.index(top), len(values) - 1 - values[::-1].index(top))
+
+
+@cache
+def _order_constants(n: int) -> tuple[int, int, int, int]:
+    """floor(n/2), ceil(n - n/sqrt(5)), C(n-1, 2) and ceil(2n/3), once per
+    order n >= 3; see conjecture_range, upper_bound_rho and theorem_cap."""
+    if n < 3:
+        raise ValueError("order must be at least 3")
+    return n // 2, n - isqrt(n * n // 5), comb(n - 1, 2), -(-2 * n // 3)
 
 
 def conjecture_range(n: int) -> tuple[int, int]:
@@ -94,9 +113,8 @@ def conjecture_range(n: int) -> tuple[int, int]:
     and floor(n/sqrt(5)) = isqrt(n^2 // 5), so the result needs integer
     arithmetic only.
     """
-    if n < 3:
-        raise ValueError("order must be at least 3")
-    return n // 2, n - isqrt(n * n // 5)
+    lo, hi, _, _ = _order_constants(n)
+    return lo, hi
 
 
 def upper_bound_rho(n: int, n_p3: int) -> int:
@@ -106,14 +124,18 @@ def upper_bound_rho(n: int, n_p3: int) -> int:
     is evaluated as ceil(n (2C - n_p3) / (3C - n_p3)) with C = C(n-1, 2),
     all in integers.
     """
-    if n < 3:
-        raise ValueError("order must be at least 3")
-    cap = comb(n - 1, 2)
+    _, _, cap, _ = _order_constants(n)
     if not 0 <= n_p3 <= cap:
         raise ValueError(f"path-of-length-2 count {n_p3} outside [0, {cap}]")
     num = n * (2 * cap - n_p3)
     den = 3 * cap - n_p3
     return -(-num // den)
+
+
+def theorem_cap(n: int) -> int:
+    """ceil(2n/3): upper_bound_rho at rho = 0, which caps it for every
+    rho >= 0."""
+    return _order_constants(n)[3]
 
 
 def lower_bound_diam(n: int, diam: int) -> int:

@@ -8,7 +8,9 @@ any square matrix from general Berkowitz (the package's charpoly is its
 symmetric form), free-tree canonicity from the
 spelled-out height, size, order cascade and the free-tree stream from
 plain generate-and-reject, Newton's inequalities from their binomial
-form and unimodality by trying every peak. The one exception is scaled_poly, which rescales the package's
+form and unimodality by trying every peak; log-concavity, unimodality
+and the peak interval also in the plain index loops they were first
+written as. The one exception is scaled_poly, which rescales the package's
 Berkowitz polynomial. The path, the star and the edge-list writer are
 fixtures built on the package's Graph. tree_charpoly_leaf_to_root runs
 the Graham-Lovasz recursion leaf to root with every degree known up
@@ -355,6 +357,40 @@ def unimodal_by_definition(seq) -> bool:
         and all(seq[i] >= seq[i + 1] for i in range(peak, len(seq) - 1))
         for peak in range(len(seq))
     )
+
+
+def log_concave_by_loop(seq) -> bool:
+    """a_j^2 >= a_{j-1} a_{j+1} for every interior j, one index at a time."""
+    values = list(seq)
+    if not values:
+        raise ValueError("empty sequence")
+    for j in range(1, len(values) - 1):
+        if values[j] * values[j] < values[j - 1] * values[j + 1]:
+            return False
+    return True
+
+
+def unimodal_by_loop(seq) -> bool:
+    """Climb while nondecreasing, then descend while nonincreasing; unimodal
+    when that reaches the end."""
+    values = list(seq)
+    if not values:
+        raise ValueError("empty sequence")
+    i = 1
+    while i < len(values) and values[i - 1] <= values[i]:
+        i += 1
+    while i < len(values) and values[i - 1] >= values[i]:
+        i += 1
+    return i == len(values)
+
+
+def peak_by_loop(seq) -> tuple[int, int]:
+    """First and last index of the maximum, from the front and from the back."""
+    values = list(seq)
+    if not values:
+        raise ValueError("empty sequence")
+    top = max(values)
+    return values.index(top), len(values) - 1 - values[::-1].index(top)
 
 
 def evaluate(coeffs, t: int) -> int:

@@ -231,6 +231,16 @@ class TestVerifyCommand:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("args", [("--max-order", "2"), ("--max-order", "5", "--jobs", "0")])
+    def test_usage_error_leaves_the_output_file_unchanged(self, capsys, tmp_path, args):
+        target = tmp_path / "report.json"
+        target.write_bytes(b"an earlier report\n")
+        code, out, err = run_cli(capsys, "verify", *args, "--output", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert target.read_bytes() == b"an earlier report\n"
+
     def test_per_tree_stream(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--max-order", "5", "--per-tree")
         assert code == 0

@@ -1,6 +1,9 @@
 import itertools
 import random
+from collections import Counter
+from dataclasses import astuple
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -13,6 +16,68 @@ HEAWOOD_D = (81, 924, 3794, 5460, 3801, 14728, 1848, 17928, 6545, 9492, 9114, 31
 def tree_d_sequence(g):
     dm = graphs.distance_matrix(g)
     return polynomials.normalized_seq(polynomials.delta_seq(polynomials.charpoly(dm)))
+
+
+def seeded_sequences():
+    """Int and Fraction sequences of lengths 0..30: random ones, and
+    log-concave, unimodal binomial rows; each also with its first or its
+    last interior entry set to 0, a dip, or to the maximum, a tie."""
+    rng = random.Random(2015)
+    for length in range(31):
+        row = [comb(length - 1, k) for k in range(length)]
+        for _ in range(20):
+            scale = rng.randint(1, 10**6)
+            bases = [
+                [rng.randint(-3, 3) for _ in range(length)],
+                [rng.randint(0, 10**12) for _ in range(length)],
+                [Fraction(rng.randint(0, 9), rng.randint(1, 9)) for _ in range(length)],
+                [scale * c for c in row],
+                [Fraction(scale * c, rng.randint(1, 50)) for c in row],
+            ]
+            for base in bases:
+                yield base
+                for j in sorted({1, length - 2}) if length >= 3 else ():
+                    for value in (0, max(base)):
+                        seq = list(base)
+                        seq[j] = value
+                        yield seq
+
+
+class TestAgainstLoopOracles:
+    """The zip-based predicates against the plain index loops they replaced."""
+
+    PAIRS = (
+        (sequences.is_log_concave, oracles.log_concave_by_loop),
+        (sequences.is_unimodal, oracles.unimodal_by_loop),
+        (lambda seq: astuple(sequences.peak_interval(seq)), oracles.peak_by_loop),
+    )
+
+    def test_seeded_sequences(self):
+        verdicts = Counter()
+        for seq in seeded_sequences():
+            for predicate, oracle in self.PAIRS:
+                for form in (list, tuple, iter):
+                    if seq:
+                        assert predicate(form(seq)) == oracle(seq), (predicate, seq)
+                    else:
+                        with pytest.raises(ValueError):
+                            predicate(form(seq))
+            if seq:
+                verdicts[oracles.log_concave_by_loop(seq), oracles.unimodal_by_loop(seq)] += 1
+        # every combination of verdicts occurs, so both outcomes are pinned
+        assert set(verdicts) == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_violation_at_each_end_of_the_interior(self):
+        # log-concave and unimodal binomial row, broken at index 1 and at index 7
+        row = [comb(8, k) for k in range(9)]
+        for j in (1, 7):
+            dip = list(row)
+            dip[j] = 0
+            assert not sequences.is_log_concave(dip)
+            assert not sequences.is_unimodal(dip)
+            tie = list(row)
+            tie[j] = max(row)
+            assert sequences.peak_interval(tie) == sequences.PeakInterval(min(j, 4), max(j, 4))
 
 
 class TestIsUnimodal:
