@@ -10,10 +10,11 @@ both paths share one report builder. verify_range streams every free
 tree of orders 3..n_max through the same tree pipeline, with the
 characteristic polynomial folded from each level sequence
 (polynomials.level_fold) and the traces and 2-path count taken from its
-own parent array, and folds the results into an aggregate whose content
-is independent of the worker count. With worker processes, each one
-walks the whole tree stream itself, analyzes every jobs-th chunk of it,
-and sends the results down its own one-way pipe.
+own parent array, and counts the trees per (peak, bounds) pair. Those
+counts are the whole aggregate, merged by Counter addition, so its
+content is independent of the worker count. With worker processes, each
+one walks the whole tree stream itself, analyzes every jobs-th chunk of
+it, and sends the results down its own one-way pipe.
 
 JSON conventions: coefficient-sized integers are serialized as decimal
 strings because they outgrow 64-bit range quickly; dyadic rationals are
@@ -77,24 +78,16 @@ class TreeReport:
 
 @dataclass
 class OrderStats:
-    """Per-order slice of an aggregate report, or of one sweep chunk."""
+    """Per-order slice of an aggregate report: the count of trees per
+    (peak, bounds) pair, merged over the chunks by Counter addition, from
+    which aggregate_report_to_json derives every other per-order number."""
 
     expected: int = 0
-    trees: int = 0
-    peak_histogram: Counter = field(default_factory=Counter)  # keyed by first peak index
-    plateaus: int = 0
-    slack_min: dict[str, int] = field(default_factory=dict)
-    slack_max: dict[str, int] = field(default_factory=dict)
+    shapes: Counter = field(default_factory=Counter)  # (PeakInterval, BoundSet) -> trees
 
-    def merge(self, other: OrderStats) -> None:
-        """Fold in another chunk's stats; commutative, so order-free."""
-        self.trees += other.trees
-        self.peak_histogram.update(other.peak_histogram)
-        self.plateaus += other.plateaus
-        for name, value in other.slack_min.items():
-            self.slack_min[name] = min(value, self.slack_min.get(name, value))
-        for name, value in other.slack_max.items():
-            self.slack_max[name] = max(value, self.slack_max.get(name, value))
+    @property
+    def trees(self) -> int:
+        return sum(self.shapes.values())
 
 
 @dataclass
@@ -106,7 +99,6 @@ class AggregateReport:
     orders: dict[int, OrderStats]
     total_trees: int
     total_violations: int
-    plateau_anomalies: int
     violations: list[dict]
     jobs: int
     duration_seconds: float
@@ -233,41 +225,47 @@ def tree_report_to_json(report: TreeReport) -> dict:
         "coefficients": [str(c) for c in report.coefficients],
         "delta": [str(x) for x in report.delta],
         "d": [str(x) for x in report.d],
-        "peak": {"first": report.peak.first, "last": report.peak.last},
-        "bounds": None
-        if report.bounds is None
-        else {
-            "conj_lo": report.bounds.conj_lo,
-            "conj_hi": report.bounds.conj_hi,
-            "thm_lo": report.bounds.thm_lo,
-            "thm_hi": report.bounds.thm_hi,
-        },
+        "peak": report.peak._asdict(),
+        "bounds": None if report.bounds is None else report.bounds._asdict(),
         "checks": dict(report.checks),
         "failed": list(report.failed),
     }
 
 
+_SLACKS = ("conj_hi", "conj_lo", "thm_hi", "thm_lo")
+
+
+def _order_to_json(stats: OrderStats) -> dict:
+    """An order's numbers, each read off its count of trees per (peak,
+    bounds) pair. A bound's slack is first - lo for a lower bound and
+    hi - last for an upper bound."""
+    firsts: Counter = Counter()
+    plateaus = 0
+    slacks = []
+    for ((first, last), b), count in stats.shapes.items():
+        firsts[first] += count
+        plateaus += count * (first != last)
+        slacks.append((b.conj_hi - last, first - b.conj_lo, b.thm_hi - last, first - b.thm_lo))
+    columns = list(zip(*slacks))
+    return {
+        "trees": stats.trees,
+        "expected": stats.expected,
+        "peak_first_histogram": {str(k): firsts[k] for k in sorted(firsts)},
+        "plateaus": plateaus,
+        "slack_min": dict(zip(_SLACKS, map(min, columns))),
+        "slack_max": dict(zip(_SLACKS, map(max, columns))),
+    }
+
+
 def aggregate_report_to_json(report: AggregateReport) -> dict:
-    orders = {}
-    for n in sorted(report.orders):
-        stats = report.orders[n]
-        orders[str(n)] = {
-            "trees": stats.trees,
-            "expected": stats.expected,
-            "peak_first_histogram": {
-                str(k): stats.peak_histogram[k] for k in sorted(stats.peak_histogram)
-            },
-            "plateaus": stats.plateaus,
-            "slack_min": {k: stats.slack_min[k] for k in sorted(stats.slack_min)},
-            "slack_max": {k: stats.slack_max[k] for k in sorted(stats.slack_max)},
-        }
+    orders = {str(n): _order_to_json(report.orders[n]) for n in sorted(report.orders)}
     return {
         "type": "aggregate_report",
         "max_order": report.max_order,
         "orders": orders,
         "total_trees": report.total_trees,
         "total_violations": report.total_violations,
-        "plateau_anomalies": report.plateau_anomalies,
+        "plateau_anomalies": sum(order["plateaus"] for order in orders.values()),
         "violations": list(report.violations),
         "run": {"jobs": report.jobs, "duration_seconds": report.duration_seconds},
     }
@@ -278,38 +276,29 @@ def aggregate_report_to_json(report: AggregateReport) -> dict:
 
 _CHUNK_SIZE = 256
 
-_SLACKS = ("thm_lo", "thm_hi", "conj_lo", "conj_hi")
-
 
 def _sweep(n: int, want_per_tree: bool, rank: int = 0, jobs: int = 1):
-    """Stats, violations and (if asked) per-tree reports of chunks rank,
-    rank + jobs, rank + 2*jobs, ... of the order-n tree stream."""
+    """Tree counts per (peak, bounds) pair, violations and (if asked)
+    per-tree reports of chunks rank, rank + jobs, rank + 2*jobs, ... of
+    the order-n tree stream."""
     fold = polynomials.level_fold(n)
     trees = enumerate(treegen.tree_stream(n))
     chunks = iter(lambda: list(islice(trees, _CHUNK_SIZE)), [])
     for chunk in islice(chunks, rank, None, jobs):
-        stats = OrderStats(trees=len(chunk))
-        slacks: list[tuple[int, ...]] = []
+        shapes: Counter = Counter()
         violations: list[dict] = []
         per_tree: list[dict] = []
         for tree_id, (seq, parent) in chunk:
             # the fold checks seq, so the traces take it as the levels of parent
             report = _tree_report(parent, seq, fold(seq), tree_id)
-            first, last = report.peak.first, report.peak.last
-            b = report.bounds
-            stats.peak_histogram[first] += 1
-            stats.plateaus += first != last
-            slacks.append((first - b.thm_lo, b.thm_hi - last, first - b.conj_lo, b.conj_hi - last))
+            shapes[report.peak, report.bounds] += 1
             if report.failed or want_per_tree:
                 item = tree_report_to_json(report)
                 if report.failed:
                     violations.append(item)
                 if want_per_tree:
                     per_tree.append(item)
-        columns = list(zip(*slacks))
-        stats.slack_min = dict(zip(_SLACKS, map(min, columns)))
-        stats.slack_max = dict(zip(_SLACKS, map(max, columns)))
-        yield stats, violations, per_tree
+        yield shapes, violations, per_tree
 
 
 def _worker(writer, readers, n_max: int, want_per_tree: bool, rank: int, jobs: int) -> None:
@@ -358,8 +347,8 @@ def verify_range(
     """Analyze every free tree of every order 3..n_max.
 
     The aggregate content is identical for any `jobs` value: chunk results
-    are merged with commutative operations and consumed in enumeration
-    order. With jobs > 1, each of `jobs` worker processes walks the whole
+    are merged by Counter addition and consumed in enumeration order.
+    With jobs > 1, each of `jobs` worker processes walks the whole
     tree stream and analyzes every jobs-th chunk, sending results down its
     own one-way pipe; nothing is sent to a worker. A per-order count
     mismatch against the independent counting recurrence is an internal
@@ -392,10 +381,10 @@ def verify_range(
                 writer.close()  # the worker holds the only write end, so its death ends the pipe
         for n in range(3, n_max + 1):
             stats = OrderStats(expected=treegen.tree_count_recurrence(n))
-            for part, part_violations, items in (
+            for shapes, part_violations, items in (
                 _received(readers) if readers else _sweep(n, want_per_tree)
             ):
-                stats.merge(part)
+                stats.shapes.update(shapes)
                 violations.extend(part_violations)
                 for item in items:
                     per_tree_sink(item)
@@ -429,7 +418,6 @@ def verify_range(
         orders=orders,
         total_trees=sum(s.trees for s in orders.values()),
         total_violations=len(violations),
-        plateau_anomalies=sum(s.plateaus for s in orders.values()),
         violations=violations,
         jobs=jobs,
         duration_seconds=time.perf_counter() - started,

@@ -299,18 +299,18 @@ def trace_power(matrix) -> tuple[int, int]:
     """Exact (tr(M^2), tr(M^3)) of a symmetric M, from one pass over its rows.
 
     tr(M^2) is the sum of row_i . row_i, and tr(M^3) the sum over i <= j
-    of (2 - [i = j]) M_ij (row_i . row_j), skipping zero entries; the
-    diagonal dot products serve both. Raises ValueError unless M is
-    symmetric.
+    of (2 - [i = j]) M_ij (row_i . row_j); the diagonal dot products serve
+    both. Zero entries are not skipped: a zero term adds nothing, and a
+    connected distance matrix is zero only on its diagonal. Raises
+    ValueError unless M is symmetric.
     """
     rows = _rows(matrix)
     tr2 = diag = off = 0
     for i, row in enumerate(rows):
         square = sum(map(mul, row, row))
         tr2 += square
-        if row[i]:
-            diag += row[i] * square
-        off += sum([m * sum(map(mul, row, r)) for m, r in zip(row[i + 1:], rows[i + 1:]) if m])
+        diag += row[i] * square
+        off += sum([m * sum(map(mul, row, r)) for m, r in zip(row[i + 1:], rows[i + 1:])])
     return tr2, diag + 2 * off
 
 

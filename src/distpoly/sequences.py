@@ -8,21 +8,19 @@ bound by one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import comb, isqrt
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class PeakInterval:
+class PeakInterval(NamedTuple):
     """Smallest and largest index attaining the sequence maximum."""
 
     first: int
     last: int
 
 
-@dataclass(frozen=True)
-class BoundSet:
+class BoundSet(NamedTuple):
     """Peak-location bounds for one tree: conjectured window and proven bounds."""
 
     conj_lo: int

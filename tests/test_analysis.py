@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import signal
@@ -6,6 +7,7 @@ import sys
 import tempfile
 import textwrap
 import time
+from collections import Counter
 
 import pytest
 
@@ -155,7 +157,6 @@ class TestVerifyRange:
         assert report.total_violations == 0
         for n, stats in report.orders.items():
             assert stats.trees == stats.expected == treegen.tree_count_recurrence(n)
-            assert sum(stats.peak_histogram.values()) == stats.trees
 
     def test_total_through_10(self):
         # orders 3..10 only; orders 1 and 2 are below the analysis floor
@@ -380,16 +381,62 @@ def running(pid: int) -> bool:
 
 class TestSlackBookkeeping:
     def test_slacks_nonnegative_and_consistent(self):
-        report = analysis.verify_range(9)
-        for stats in report.orders.values():
+        data = analysis.aggregate_report_to_json(analysis.verify_range(9))
+        for order in data["orders"].values():
             for name in ("thm_lo", "thm_hi", "conj_lo", "conj_hi"):
-                assert stats.slack_min[name] >= 0
-                assert stats.slack_min[name] <= stats.slack_max[name]
+                assert order["slack_min"][name] >= 0
+                assert order["slack_min"][name] <= order["slack_max"][name]
 
     def test_plateau_counter_matches_reports(self):
         collected = []
-        report = analysis.verify_range(9, per_tree_sink=collected.append)
+        data = analysis.aggregate_report_to_json(
+            analysis.verify_range(9, per_tree_sink=collected.append)
+        )
         plateaus = sum(
             1 for item in collected if item["peak"]["first"] != item["peak"]["last"]
         )
-        assert report.plateau_anomalies == plateaus
+        assert data["plateau_anomalies"] == plateaus
+
+
+class TestAggregateRecount:
+    """Every per-order number of the aggregate, recounted from the per-tree
+    reports it was derived from."""
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    @pytest.mark.parametrize("chunk", [7, analysis._CHUNK_SIZE])
+    def test_order_fields_recounted_from_per_tree_items(self, monkeypatch, chunk, jobs):
+        monkeypatch.setattr(analysis, "_CHUNK_SIZE", chunk)
+        items = []
+        data = analysis.aggregate_report_to_json(
+            analysis.verify_range(10, jobs=jobs, per_tree_sink=items.append)
+        )
+        by_order = {}
+        for item in items:
+            by_order.setdefault(item["n"], []).append((item["peak"], item["bounds"]))
+        assert list(data["orders"]) == [str(n) for n in by_order] == [str(n) for n in range(3, 11)]
+        plateaus = 0
+        for n, shapes in by_order.items():
+            firsts = Counter(peak["first"] for peak, _ in shapes)
+            slacks = [
+                {
+                    "conj_hi": bounds["conj_hi"] - peak["last"],
+                    "conj_lo": peak["first"] - bounds["conj_lo"],
+                    "thm_hi": bounds["thm_hi"] - peak["last"],
+                    "thm_lo": peak["first"] - bounds["thm_lo"],
+                }
+                for peak, bounds in shapes
+            ]
+            expected = {
+                "trees": len(shapes),
+                "expected": treegen.tree_count_recurrence(n),
+                "peak_first_histogram": {str(k): firsts[k] for k in sorted(firsts)},
+                "plateaus": sum(peak["first"] != peak["last"] for peak, _ in shapes),
+                "slack_min": {k: min(slack[k] for slack in slacks) for k in sorted(slacks[0])},
+                "slack_max": {k: max(slack[k] for slack in slacks) for k in sorted(slacks[0])},
+            }
+            # compared as JSON text, so the order of the keys is checked too
+            assert json.dumps(data["orders"][str(n)]) == json.dumps(expected), n
+            assert min(expected["slack_min"].values()) >= 0, n
+            plateaus += expected["plateaus"]
+        assert data["plateau_anomalies"] == plateaus
+        assert data["total_trees"] == len(items)

@@ -240,6 +240,15 @@ class TestTreeTraces:
         for g in shapes:
             assert polynomials.tree_traces(treegen.preorder_parents(g)) == self.expected(g)
 
+    @pytest.mark.parametrize("n", [150, 200, 300])
+    def test_path_pins_the_digit_width(self, n):
+        # the path has the longest distances of its order; with a digit of
+        # bitlen(n^5) + 1 bits, a caterpillar and a broom of orders 60 to
+        # 300 and the path at 60 and 100 still read right, but not the path
+        # at these orders
+        g = oracles.path_graph(n)
+        assert polynomials.tree_traces(treegen.preorder_parents(g)) == self.expected(g)
+
     @pytest.mark.parametrize(
         "parent",
         [
@@ -504,7 +513,8 @@ class TestTracePower:
                 m = [[0] * n for _ in range(n)]
                 for i in range(n):
                     for j in range(i, n):
-                        # about half zeros, to exercise the skipped entries
+                        # about half zeros, off the diagonal too, where a
+                        # connected distance matrix has none
                         m[i][j] = m[j][i] = rng.choice((0, rng.randint(-9, 9)))
                 sq = [[sum(m[i][l] * m[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
                 tr2, tr3 = polynomials.trace_power(m)

@@ -1,7 +1,6 @@
 import itertools
 import random
 from collections import Counter
-from dataclasses import astuple
 from fractions import Fraction
 from math import comb
 
@@ -49,7 +48,7 @@ class TestAgainstLoopOracles:
     PAIRS = (
         (sequences.is_log_concave, oracles.log_concave_by_loop),
         (sequences.is_unimodal, oracles.unimodal_by_loop),
-        (lambda seq: astuple(sequences.peak_interval(seq)), oracles.peak_by_loop),
+        (lambda seq: tuple(sequences.peak_interval(seq)), oracles.peak_by_loop),
     )
 
     def test_seeded_sequences(self):
