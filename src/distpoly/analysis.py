@@ -2,15 +2,16 @@
 
 analyze_tree runs the full pipeline (characteristic polynomial, trace
 identities, coefficient sequences, predicates, bounds) on a tree given
-as a preorder parent array, with the packed tree kernels and no distance
+as a preorder parent array, with the two tree folds and no distance
 matrix. analyze_graph takes any connected graph: it relabels a tree into
 a preorder (treegen.preorder_parents, the one relabeler) and hands it to
 analyze_tree, and gives every other graph BFS distances and Berkowitz;
 both paths share one report builder. verify_range streams every free
 tree of orders 3..n_max through the same tree pipeline, with the
-characteristic polynomial folded from each level sequence
-(polynomials.level_fold) and the traces and 2-path count taken from its
-own parent array, and counts the trees per (peak, bounds) pair. Those
+characteristic polynomial (polynomials.level_fold) and the traces and
+diameter (polynomials.trace_fold) each folded from the level sequence
+by a fold of its own per order, and the 2-path count taken from the
+tree's parent array, and counts the trees per (peak, bounds) pair. Those
 counts are the whole aggregate, merged by Counter addition, so its
 content is independent of the worker count. With worker processes, each
 one walks the whole tree stream itself, analyzes every jobs-th chunk of
@@ -107,20 +108,23 @@ class AggregateReport:
 def analyze_tree(parent, tree_id: int | None = None) -> TreeReport:
     """Run the full pipeline on a tree given as a preorder parent array.
 
-    The array follows treegen.CanonicalTree.parent: parent[0] == -1 and
-    each other parent[i] on the root path of i - 1. No Graph or distance
-    matrix is built. Raises ValueError on any other array or an order
-    below 3; treegen.preorder_parents relabels a tree Graph into the form.
+    The array takes the form of the parent arrays that
+    treegen.tree_stream yields: parent[0] == -1 and each other parent[i]
+    on the root path of i - 1. No Graph or distance matrix is built.
+    Raises ValueError on any other array or an order below 3;
+    treegen.preorder_parents relabels a tree Graph into the form.
     """
-    levels = polynomials._levels(parent)  # checked once, for both kernels
-    return _tree_report(parent, levels, polynomials.level_fold(len(parent))(levels), tree_id)
+    levels = polynomials._levels(parent)  # checked once, for both folds
+    n = len(parent)
+    poly = polynomials.level_fold(n)(levels)
+    return _tree_report(parent, poly, polynomials.trace_fold(n)(levels), tree_id)
 
 
-def _tree_report(parent, levels, poly: polynomials.CharPoly, tree_id: int | None) -> TreeReport:
-    # the traces and p3 come from the tree's own parent array and checked
-    # level sequence, so the trace identities and the d_1 formula check
-    # poly against that tree
-    tr2, tr3, diam = polynomials._traces(parent, levels)
+def _tree_report(parent, poly: polynomials.CharPoly, traces, tree_id: int | None) -> TreeReport:
+    # the traces fold the tree's level sequence apart from poly, and p3
+    # comes from its parent array, so the trace identities and the d_1
+    # formula check poly against that tree
+    tr2, tr3, diam = traces
     degree = [1] * len(parent)
     degree[0] = 0
     for p in parent[1:]:
@@ -282,6 +286,7 @@ def _sweep(n: int, want_per_tree: bool, rank: int = 0, jobs: int = 1):
     per-tree reports of chunks rank, rank + jobs, rank + 2*jobs, ... of
     the order-n tree stream."""
     fold = polynomials.level_fold(n)
+    traces = polynomials.trace_fold(n)
     trees = enumerate(treegen.tree_stream(n))
     chunks = iter(lambda: list(islice(trees, _CHUNK_SIZE)), [])
     for chunk in islice(chunks, rank, None, jobs):
@@ -289,8 +294,7 @@ def _sweep(n: int, want_per_tree: bool, rank: int = 0, jobs: int = 1):
         violations: list[dict] = []
         per_tree: list[dict] = []
         for tree_id, (seq, parent) in chunk:
-            # the fold checks seq, so the traces take it as the levels of parent
-            report = _tree_report(parent, seq, fold(seq), tree_id)
+            report = _tree_report(parent, fold(seq), traces(seq), tree_id)
             shapes[report.peak, report.bounds] += 1
             if report.failed or want_per_tree:
                 item = tree_report_to_json(report)

@@ -12,8 +12,11 @@ The tree kernel folds a level sequence in preorder and keeps the state of
 every prefix, so a fold (level_fold) refolds each tree only from where it
 first differs from the last one folded; tree_charpoly folds one tree
 given as a preorder parent array, the one tree form that both kernels
-take and that _levels checks. tree_traces packs distance rows the same
-way, from the parent array, so no tree ever forms its distance matrix.
+take and that _levels checks. The traces of D^2 and D^3 and the diameter
+come from a second fold of the same kind (trace_fold) over path-metric
+moments of each subtree, with no state or identity shared with the
+first, and tree_traces folds one tree; so no tree ever forms its
+distance matrix.
 Normalized coefficients are ints wherever they are integral, which they
 are for every tree, so only non-trees ever build a Fraction.
 """
@@ -22,8 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice, repeat
-from operator import and_, lshift, mul, neg, rshift
+from itertools import chain, islice
+from operator import mul, neg
 
 
 def _rows(matrix) -> list[tuple[int, ...]]:
@@ -90,10 +93,8 @@ def _levels(parent) -> list[int]:
 
     Raises ValueError unless the order is at least 3, parent[0] == -1 and
     each other parent[i] lies on the root path of i - 1: the preorder
-    that treegen.tree_stream and treegen.preorder_parents give. The fold
-    behind tree_charpoly needs a preorder; tree_traces needs only each
-    parent before its child, but takes the same form, so one check
-    serves both.
+    that treegen.tree_stream and treegen.preorder_parents give, and the
+    one form that both folds, behind tree_charpoly and tree_traces, take.
     """
     n = len(parent)
     if n < 3:
@@ -314,65 +315,104 @@ def trace_power(matrix) -> tuple[int, int]:
     return tr2, diag + 2 * off
 
 
-def tree_traces(parent) -> tuple[int, int, int]:
-    """(tr(D^2), tr(D^3), diameter) of a tree from its preorder parent array.
+def trace_fold(n: int):
+    """(tr(D^2), tr(D^3), diameter) of trees of order n given as level
+    sequences, folded from the first position at which each differs from
+    the one before.
 
-    D is never formed. Each row of D, D^2 and D^3 is one int, its value at
-    X = 2^b: row i of a matrix M is sum_j M_ij X^j. For any rows M_j,
-    row i of D M is sum_j d(i, j) M_j. For the parent p of i,
-    d(i, j) = d(p, j) + 1 - 2 [j in subtree(i)], so
-    (DM)_i = (DM)_p + total - 2 sub_i, where total sums every M_j and
-    sub_i sums M_j over the subtree of i, accumulated leaf to root; the
-    root's row is sum_j depth_j M_j. That one step, applied three times
-    from the identity rows X^j, gives the rows of D, then D^2, then D^3.
-    Each trace is read in one pass: row i shifted down by i digits has
-    digit i of row i as its digit 0, so digit 0 of the sum of the shifted
-    rows is the trace. The diameter is the largest digit of the row of D
-    at a deepest vertex, since a vertex farthest from the root ends a
-    longest path.
+    Takes and rejects the same sequences as level_fold's closure, and
+    restarts the same way, from a snapshot of its own persistent stack.
+    A closed subtree keeps small ints measured from its root (delta is
+    the depth below it): its size s, a1 = sum delta, a2 = sum delta^2;
+    over ordered pairs P0 = sum d(u, v), P1 = sum d(u, v) delta_u,
+    P2 = sum d(u, v) delta_u delta_v and T2 = sum d(u, v)^2; over ordered
+    triples T3 = sum d(u, v) d(v, w) d(w, u); its height h and diameter
+    m. A closing child C is re-measured from its parent
+    (P2 += 2 P1 + P0, P1 += P0, a2 += 2 a1 + s, a1 += s, h += 1) and
+    merged into the open vertex X. A path from X into C runs through X's
+    root, so a cross distance is delta_u + gamma_w, and with
+    c = s_C a2_X + 2 a1_X a1_C + s_X a2_C:
+      T3 += T3_C + 3 (s_C P2_X + 2 a1_C P1_X + a2_C P0_X
+                      + s_X P2_C + 2 a1_X P1_C + a2_X P0_C),
+      T2 += T2_C + 2c,  P2 += P2_C + 2 (a2_X a1_C + a1_X a2_C),
+      P1 += P1_C + c,  P0 += P0_C + 2 (s_C a1_X + s_X a1_C),
+    s, a1 and a2 add, m = max(m_X, m_C, h_X + h_C), h = max(h_X, h_C).
+    A leaf closes to s = a1 = a2 = h = 1 and the rest 0, so merging one
+    takes small additions, and merging into a lone vertex (s_X = 1, the
+    rest 0) only shifts the child's ints. The root's T2, T3 and m are
+    the result: O(n) small-int operations, and no digit width to prove.
 
-    All of it is O(n) big-int additions per step, against the O(n^3) of
-    trace_power on D. It uses only the path metric, not the Laplacian
-    identity behind tree_charpoly, so the trace identities check that
-    kernel independently. Every int here is a polynomial in X with
-    nonnegative coefficients, so its base-X digits read exactly when each
-    coefficient is below X. The largest entries are those of D^3: with
-    d(i, j) < n, entries of D^2 are sums of n terms below n^2, so below
-    n^3, and entries of D^3 sums of n terms below n * n^3, so below n^5.
-    A carry only moves up, so digit 0 of a sum of shifted rows, the
-    lowest, is the trace modulo X; it is the trace itself because the
-    trace sums n diagonal entries below n^5, so it is below
-    n^6 < X = 2^(bitlen(n^6) + 1).
-
-    Takes the same parent arrays as tree_charpoly and raises ValueError
-    on the same malformed inputs.
+    The fold uses the path metric only: no Laplacian identity and none
+    of level_fold's state. The two share only the restart comparison,
+    each against its own copy of the last sequence. So a carried-state
+    error in either fold shows as a trace_identities violation
+    (2 d_(n-2) != tr(D^2) or 6 d_(n-3) != tr(D^3)), unless both err the
+    same way on those two coefficients.
     """
-    return _traces(parent, _levels(parent))
+    if n < 3:
+        raise ValueError("tree kernel needs order at least 3")
+    # snaps[i]: the open ancestors of vertex i, nearest first, as nested
+    # tuples (s, a1, a2, P0, P1, P2, T2, T3, h, m, rest); vertex i is
+    # open too, with no children yet, so it is left implicit
+    snaps: list = [None] * (n + 1)
+    last = [0]  # a copy of the last sequence folded, as far as snaps hold it
+    one_leaf = (2, 1, 1, 2, 1, 0, 2, 0, 1, 1)  # a lone vertex that has merged one leaf
+
+    def traces(seq) -> tuple[int, int, int]:
+        if len(seq) != n or seq[0] != 0:
+            raise ValueError(f"a level sequence of order {n} has {n} depths, from 0")
+        start = 1
+        stop = len(last)
+        while start < stop and seq[start] == last[start]:
+            start += 1
+        del last[start:]  # a fold that raises midway leaves snaps valid up to here
+        state = snaps[start - 1]
+        prev = seq[start - 1]
+        # a last step to depth 1 closes every vertex below the root
+        for i, d in enumerate(chain(islice(seq, start, None), (1,)), start):
+            if not 0 < d <= prev + 1:
+                raise ValueError(f"seq[{i}] = {d} after {prev}: not a level sequence")
+            if d > prev:  # vertex i - 1 is the parent of i
+                state = (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, state)
+            else:  # vertex i - 1 is a leaf
+                s, a1, a2, P0, P1, P2, T2, T3, h, m, rest = state
+                if s > 1:
+                    c = a2 + 2 * a1 + s
+                    state = (s + 1, a1 + 1, a2 + 1, P0 + 2 * (a1 + s), P1 + c, P2 + 2 * (a2 + a1),
+                             T2 + 2 * c, T3 + 3 * (P2 + 2 * P1 + P0), h, max(m, h + 1), rest)
+                else:  # the general rule from a lone vertex gives the same ints
+                    state = one_leaf + (rest,)
+                for _ in range(prev - d):  # close the ancestors at depth >= d
+                    s, a1, a2, P0, P1, P2, T2, T3, h, m, rest = state
+                    P2 += 2 * P1 + P0  # re-measured from the parent
+                    P1 += P0
+                    a2 += 2 * a1 + s
+                    a1 += s
+                    h += 1
+                    S, A1, A2, Q0, Q1, Q2, U2, U3, H, M, rest = rest
+                    if S > 1:
+                        c = s * A2 + 2 * A1 * a1 + S * a2
+                        U3 += 3 * (s * Q2 + 2 * a1 * Q1 + a2 * Q0 + S * P2 + 2 * A1 * P1 + A2 * P0)
+                        state = (S + s, A1 + a1, A2 + a2, Q0 + P0 + 2 * (s * A1 + S * a1),
+                                 Q1 + P1 + c, Q2 + P2 + 2 * (A2 * a1 + A1 * a2), U2 + T2 + 2 * c,
+                                 U3 + T3, H if H > h else h, max(M, m, H + h), rest)
+                    else:  # the same ints, from a lone vertex; halves a fresh path's time
+                        state = (s + 1, a1, a2, P0 + 2 * a1, P1 + a2, P2, T2 + 2 * a2,
+                                 T3 + 3 * P2, h, m if m > h else h, rest)
+            snaps[i] = state
+            prev = d
+        last.extend(islice(seq, start, None))
+        return state[6], state[7], state[9]
+
+    return traces
 
 
-def _traces(parent, levels) -> tuple[int, int, int]:
-    """tree_traces of a preorder parent array whose level sequence is
-    already known and checked, as a stream tree's is."""
-    n = len(parent)
-    b = (n ** 6).bit_length() + 1
-    mask = (1 << b) - 1
-    digits = range(0, n * b, b)  # the shift of each digit
+def tree_traces(parent) -> tuple[int, int, int]:
+    """(tr(D^2), tr(D^3), diameter) of a tree from its preorder parent
+    array; D is never formed.
 
-    def times_d(rows):
-        """The rows of D M from the rows of M."""
-        sub = rows[:]
-        for i in range(n - 1, 0, -1):
-            sub[parent[i]] += sub[i]
-        total = sub[0]
-        out = [sum(map(mul, levels, rows))] * n
-        for i in range(1, n):
-            out[i] = out[parent[i]] + total - 2 * sub[i]
-        return out
-
-    d1 = times_d(list(map(lshift, repeat(1), digits)))  # from the identity rows X^j
-    d2 = times_d(d1)
-    d3 = times_d(d2)
-    tr2 = sum(map(rshift, d2, digits)) & mask
-    tr3 = sum(map(rshift, d3, digits)) & mask
-    far = d1[levels.index(max(levels))]
-    return tr2, tr3, max(map(and_, map(rshift, repeat(far), digits), repeat(mask)))
+    A fresh trace_fold of the array's level sequence. Takes the same
+    parent arrays as tree_charpoly and raises ValueError on the same
+    malformed inputs.
+    """
+    return trace_fold(len(parent))(_levels(parent))

@@ -16,7 +16,10 @@ fixtures built on the package's Graph. tree_charpoly_leaf_to_root runs
 the Graham-Lovasz recursion leaf to root with every degree known up
 front, and parents_from_levels builds each parent array from scratch:
 the references for the package's stream fold and its parent rebuild,
-which both restart at each tree's first changed position.
+which both restart at each tree's first changed position, and
+levels_from_parents the other way round. packed_traces
+multiplies packed rows by D three times from the parent array: the
+reference for the package's trace fold.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from collections import deque
 from fractions import Fraction
 from math import comb
 from multiprocessing import Pool
-from operator import mul
+from operator import and_, lshift, mul, rshift
 
 from distpoly.graphs import Graph, graph_from_edges
 from distpoly.polynomials import CharPoly, charpoly
@@ -591,6 +594,15 @@ def tree_charpoly_leaf_to_root(parent) -> CharPoly:
     return CharPoly(n, tuple(coeffs))
 
 
+def levels_from_parents(parent) -> list[int]:
+    """Level sequence of a parent-before-child parent array: each vertex
+    one level below its parent."""
+    levels = [0] * len(parent)
+    for i in range(1, len(parent)):
+        levels[i] = levels[parent[i]] + 1
+    return levels
+
+
 def parents_from_levels(seq) -> tuple[int, ...]:
     """Parent array of a level sequence: each vertex's parent is the
     latest vertex one level up."""
@@ -601,3 +613,59 @@ def parents_from_levels(seq) -> tuple[int, ...]:
         parent[i] = last[d - 1]
         last[d] = i
     return tuple(parent)
+
+
+def packed_traces(parent) -> tuple[int, int, int]:
+    """(tr(D^2), tr(D^3), diameter) of a tree from a parent-before-child
+    parent array, by packed rows: the reference for the package's
+    trace_fold.
+
+    Each row of D, D^2 and D^3 is one int, its value at X = 2^b: row i
+    of a matrix M is sum_j M_ij X^j. For any rows M_j, row i of D M is
+    sum_j d(i, j) M_j. For the parent p of i,
+    d(i, j) = d(p, j) + 1 - 2 [j in subtree(i)], so
+    (DM)_i = (DM)_p + total - 2 sub_i, where total sums every M_j and
+    sub_i sums M_j over the subtree of i, accumulated leaf to root; the
+    root's row is sum_j depth_j M_j. That one step, applied three times
+    from the identity rows X^j, gives the rows of D, then D^2, then D^3.
+    Each trace is read in one pass: row i shifted down by i digits has
+    digit i of row i as its digit 0, so digit 0 of the sum of the shifted
+    rows is the trace. The diameter is the largest digit of the row of D
+    at a deepest vertex, since a vertex farthest from the root ends a
+    longest path.
+
+    Every int here is a polynomial in X with nonnegative coefficients,
+    so its base-X digits read exactly when each coefficient is below X.
+    The largest entries are those of D^3: with d(i, j) < n, entries of
+    D^2 are sums of n terms below n^2, so below n^3, and entries of D^3
+    sums of n terms below n * n^3, so below n^5. A carry only moves up,
+    so digit 0 of a sum of shifted rows, the lowest, is the trace modulo
+    X; it is the trace itself because the trace sums n diagonal entries
+    below n^5, so it is below n^6 < X = 2^(bitlen(n^6) + 1).
+    """
+    n = len(parent)
+    assert n >= 1 and parent[0] == -1 and all(0 <= parent[i] < i for i in range(1, n))
+    levels = levels_from_parents(parent)
+    b = (n ** 6).bit_length() + 1
+    mask = (1 << b) - 1
+    digits = range(0, n * b, b)  # the shift of each digit
+
+    def times_d(rows):
+        """The rows of D M from the rows of M."""
+        sub = rows[:]
+        for i in range(n - 1, 0, -1):
+            sub[parent[i]] += sub[i]
+        total = sub[0]
+        out = [sum(map(mul, levels, rows))] * n
+        for i in range(1, n):
+            out[i] = out[parent[i]] + total - 2 * sub[i]
+        return out
+
+    d1 = times_d(list(map(lshift, itertools.repeat(1), digits)))  # from the identity rows X^j
+    d2 = times_d(d1)
+    d3 = times_d(d2)
+    tr2 = sum(map(rshift, d2, digits)) & mask
+    tr3 = sum(map(rshift, d3, digits)) & mask
+    far = d1[levels.index(max(levels))]
+    diameter = max(map(and_, map(rshift, itertools.repeat(far), digits), itertools.repeat(mask)))
+    return tr2, tr3, diameter

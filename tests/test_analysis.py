@@ -225,6 +225,25 @@ class TestVerifyRange:
         assert all(item["failed"] == ["unimodal"] for item in report.violations)
         assert all(item["checks"]["unimodal"] is False for item in report.violations)
 
+    def test_trace_fold_error_is_a_violation(self, monkeypatch):
+        # the traces are the only check of d_{n-2} and d_{n-3} besides the
+        # charpoly fold, so an error in their carried state must show
+        real = polynomials.trace_fold
+
+        def off_by_one(n):
+            traces = real(n)
+
+            def wrong(seq):
+                tr2, tr3, diam = traces(seq)
+                return tr2, tr3 + 1, diam
+
+            return wrong
+
+        monkeypatch.setattr(analysis.polynomials, "trace_fold", off_by_one)
+        report = analysis.verify_range(6)
+        assert report.total_violations == report.total_trees == 12
+        assert all(item["failed"] == ["trace_identities"] for item in report.violations)
+
     @pytest.mark.parametrize("interrupt", [MemoryError, KeyboardInterrupt])
     def test_interruption_reports_partial_progress(self, monkeypatch, interrupt):
         real = treegen.tree_stream

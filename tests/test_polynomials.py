@@ -140,6 +140,17 @@ class TestTreeCharpoly:
             polynomials.tree_charpoly(treegen.preorder_parents(oracles.path_graph(n)))
 
 
+# sequences both folds of order 6 must reject, whatever they folded before
+BAD_SEQUENCES_OF_ORDER_6 = [
+    [0, 1, 3, 2, 1, 2],  # a depth jump
+    [0, 1, 2, 0, 1, 1],  # a return to depth 0
+    [0, 1, 1, 1, 1],  # too short
+    [0, 1, 1, 1, 1, 1, 1],  # too long
+    [1, 1, 1, 1, 1, 1],  # no root: the star's suffix at depth 1
+    [5, 1, 1, 1, 1, 1],
+]
+
+
 class TestLevelFold:
     """The fold, which refolds each sequence from where it first differs from
     the last one it folded, against the leaf-to-root kernel in
@@ -191,17 +202,7 @@ class TestLevelFold:
         seq = [0, 1, 2, 3, 4, 1, 2, 2]
         assert fold(seq) == oracles.tree_charpoly_leaf_to_root(oracles.parents_from_levels(seq))
 
-    @pytest.mark.parametrize(
-        "seq",
-        [
-            [0, 1, 3, 2, 1, 2],  # a depth jump
-            [0, 1, 2, 0, 1, 1],  # a return to depth 0
-            [0, 1, 1, 1, 1],  # too short
-            [0, 1, 1, 1, 1, 1, 1],  # too long
-            [1, 1, 1, 1, 1, 1],  # no root: the star's suffix at depth 1
-            [5, 1, 1, 1, 1, 1],
-        ],
-    )
+    @pytest.mark.parametrize("seq", BAD_SEQUENCES_OF_ORDER_6)
     def test_bad_sequence_rejected_after_any_fold(self, seq):
         fold = polynomials.level_fold(6)
         with pytest.raises(ValueError):
@@ -218,8 +219,114 @@ class TestLevelFold:
             polynomials.level_fold(n)
 
 
+class TestTraceFold:
+    """The trace fold, which refolds each sequence from where it first
+    differs from the last one it folded, against the packed path-metric
+    traces in tests/oracles.py."""
+
+    @staticmethod
+    def expected(seq):
+        return oracles.packed_traces(oracles.parents_from_levels(seq))
+
+    def test_packed_reference_matches_trace_power(self):
+        for n in range(3, 11):
+            for tree in treegen.enumerate_trees(n):
+                g = treegen.to_graph(tree)
+                assert oracles.packed_traces(tree.parent) == TestTreeTraces.expected(g)
+
+    @pytest.mark.parametrize("n", [150, 200, 300])
+    def test_path_pins_the_packed_digit_width(self, n):
+        # the path has the longest distances of its order; with a digit of
+        # bitlen(n^5) + 1 bits, a caterpillar and a broom of orders 60 to
+        # 300 and the path at 60 and 100 still read right, but not the path
+        # at these orders
+        g = oracles.path_graph(n)
+        assert oracles.packed_traces(treegen.preorder_parents(g)) == TestTreeTraces.expected(g)
+
+    @pytest.mark.parametrize("n", range(3, 17))
+    def test_stream_fold_matches_packed_traces(self, n):
+        fold = polynomials.trace_fold(n)
+        for i, (seq, parent) in enumerate(treegen.tree_stream(n)):
+            assert fold(seq) == oracles.packed_traces(parent), (n, i)
+
+    def test_shuffled_stream_with_repeats_matches_packed_traces(self):
+        rng = random.Random(103)
+        for n in range(3, 13):
+            trees = [(seq, oracles.packed_traces(parent))
+                     for seq, parent in treegen.tree_stream(n)] * 2
+            rng.shuffle(trees)
+            fold = polynomials.trace_fold(n)
+            for seq, expected in trees:
+                assert fold(seq) == expected, (n, seq)
+
+    def test_caller_changing_its_list_later_does_not_reach_the_fold(self):
+        # the caller reuses one list for the path and then the star
+        (path, _), *_, (star, parent) = treegen.tree_stream(8)
+        fold = polynomials.trace_fold(8)
+        seq = list(path)
+        fold(seq)
+        seq[:] = star
+        assert fold(seq) == oracles.packed_traces(parent)
+
+    def test_fold_that_raises_midway_leaves_the_next_one_right(self):
+        fold = polynomials.trace_fold(8)
+        fold([0, 1, 2, 3, 4, 1, 2, 3])
+        with pytest.raises(ValueError):  # a step to depth 0 would close the root
+            fold([0, 1, 2, 3, 4, 1, 1, 0])
+        # first differs from the first sequence at 7, past the state the failed fold overwrote
+        seq = [0, 1, 2, 3, 4, 1, 2, 1]
+        assert fold(seq) == self.expected(seq)
+        with pytest.raises(ValueError):  # a depth jump after the fold's held prefix
+            fold([0, 1, 2, 3, 4, 1, 2, 4])
+        with pytest.raises(ValueError):  # too short, with a prefix the fold holds
+            fold([0, 1, 2, 3, 4, 1, 2])
+        seq = [0, 1, 2, 3, 4, 1, 2, 2]
+        assert fold(seq) == self.expected(seq)
+
+    @pytest.mark.parametrize("seq", BAD_SEQUENCES_OF_ORDER_6)
+    def test_bad_sequence_rejected_after_any_fold(self, seq):
+        fold = polynomials.trace_fold(6)
+        with pytest.raises(ValueError):
+            fold(seq)
+        for valid, parent in treegen.tree_stream(6):
+            # each valid fold follows a rejected one
+            assert fold(valid) == oracles.packed_traces(parent)
+            with pytest.raises(ValueError):
+                fold(seq)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_small_order_rejected(self, n):
+        with pytest.raises(ValueError, match="order at least 3"):
+            polynomials.trace_fold(n)
+
+    @pytest.mark.parametrize("n", [60, 100, 150, 200, 300])
+    def test_fresh_fold_of_extreme_shapes(self, n):
+        spine = n // 2  # the caterpillar's spine carries one leaf per vertex
+        caterpillar = [(i, i + 1) for i in range(spine - 1)]
+        caterpillar += [(i - spine, i) for i in range(spine, n)]
+        broom = [(i, i + 1) for i in range(n // 2)] + [(n // 2, v) for v in range(n // 2 + 1, n)]
+        shapes = [
+            oracles.path_graph(n),
+            oracles.star_graph(n),
+            graphs.graph_from_edges(n, broom),
+            graphs.graph_from_edges(n, caterpillar),
+        ]
+        for g in shapes:
+            parent = treegen.preorder_parents(g)
+            seq = oracles.levels_from_parents(parent)
+            assert polynomials.trace_fold(n)(seq) == oracles.packed_traces(parent)
+
+    def test_fresh_fold_of_random_prufer_trees_orders_16_to_200(self):
+        rng = random.Random(107)
+        for n in [*range(16, 61), 80, 100, 150, 200]:
+            parent = treegen.preorder_parents(tree_graph(rng, n))
+            seq = oracles.levels_from_parents(parent)
+            assert polynomials.trace_fold(n)(seq) == oracles.packed_traces(parent), n
+
+
 class TestTreeTraces:
-    """Packed path-metric traces against trace_power on the BFS matrix."""
+    """tree_traces, a fresh trace fold of one tree, against trace_power
+    on the BFS matrix."""
 
     @staticmethod
     def expected(g):
@@ -242,10 +349,9 @@ class TestTreeTraces:
 
     @pytest.mark.parametrize("n", [150, 200, 300])
     def test_path_pins_the_digit_width(self, n):
-        # the path has the longest distances of its order; with a digit of
-        # bitlen(n^5) + 1 bits, a caterpillar and a broom of orders 60 to
-        # 300 and the path at 60 and 100 still read right, but not the path
-        # at these orders
+        # the path has the longest distances of its order, and so the
+        # largest traces: these orders pinned the packed digit width that
+        # the fold replaced (see TestTraceFold), and the fold must match too
         g = oracles.path_graph(n)
         assert polynomials.tree_traces(treegen.preorder_parents(g)) == self.expected(g)
 
