@@ -39,14 +39,11 @@ from .sequences import (
     BoundSet,
     PeakInterval,
     bound_set,
-    conjecture_range,
     is_log_concave,
     is_unimodal,
-    lower_bound_diam,
     newton_check,
     peak_interval,
     ratio_bound_check,
-    upper_bound_rho,
 )
 from .treegen import (
     CanonicalTree,

@@ -2,8 +2,10 @@
 
 Exit codes: 0 on success (all checks pass or nothing to check), 1 when a
 mathematical check failed on a tree input (the offending object is
-serialized in the output), 2 on usage or input errors. A closed output
-pipe ends the command silently, as it does other filters.
+serialized in the output), 2 on usage or input errors, on an interrupted
+sweep and on an internal error (a RuntimeError, such as a tree count that
+differs from the counting recurrence); each 2 prints one "error:" line.
+A closed output pipe ends the command silently, as it does other filters.
 """
 
 from __future__ import annotations
@@ -82,11 +84,7 @@ def _cmd_verify(args) -> int:
     analysis.check_sweep_args(args.max_order, args.jobs)
     # opened before the sweep, as a shell redirection is, so a bad path fails first
     with open(args.output, "w") if args.output else contextlib.nullcontext() as output:
-        try:
-            report = analysis.verify_range(args.max_order, jobs=args.jobs, per_tree_sink=sink)
-        except analysis.SweepInterrupted as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        report = analysis.verify_range(args.max_order, jobs=args.jobs, per_tree_sink=sink)
         payload = analysis.aggregate_report_to_json(report)
         if output:
             output.write(json.dumps(payload, indent=2) + "\n")
@@ -148,7 +146,7 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:  # SweepInterrupted is a RuntimeError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,15 +8,15 @@ built on Graham and Lovasz's closed form for the inverse distance matrix,
 which packs each polynomial into one Python int (Kronecker substitution)
 so that its products run as C-level big-integer multiplies; the tests
 check both against an independent Bareiss determinant (tests/oracles.py).
-The tree kernel folds a level sequence in preorder and keeps the state of
-every prefix, so a fold (level_fold) refolds each tree only from where it
-first differs from the last one folded; tree_charpoly folds one tree
-given as a preorder parent array, the one tree form that both kernels
-take and that _levels checks. The traces of D^2 and D^3 and the diameter
-come from a second fold of the same kind (trace_fold) over path-metric
-moments of each subtree, with no state or identity shared with the
-first, and tree_traces folds one tree; so no tree ever forms its
-distance matrix.
+The tree kernel (level_fold) folds a level sequence in preorder; the
+traces of D^2 and D^3 and the diameter come from a second fold
+(trace_fold) over path-metric moments of each subtree. Each fold keeps
+the state of every prefix and refolds a tree only from where it first
+differs from the last one folded; that restart is written once
+(_restartable), while the two folds share no state and no identity.
+tree_charpoly and tree_traces fold one tree given as a preorder parent
+array, the one tree form that both kernels take and that _levels checks;
+so no tree ever forms its distance matrix.
 Normalized coefficients are ints wherever they are integral, which they
 are for every tree, so only non-trees ever build a Fraction.
 """
@@ -25,8 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from itertools import chain, islice
-from operator import mul, neg
+from operator import itemgetter, mul, neg
 
 
 def _rows(matrix) -> list[tuple[int, ...]]:
@@ -114,16 +115,73 @@ def _levels(parent) -> list[int]:
     return levels
 
 
+def _restartable(rules):
+    """A fold factory from rules(n) -> (opened, leaf, absorb, result).
+
+    factory(n) raises ValueError when n < 3 and returns fold(seq) over
+    preorder level sequences of order n, with the root at depth 0. The
+    open vertices, the root path of the latest one, are nested tuples,
+    each ending in the one below: opened is a vertex with no children,
+    leaf(state) has the top one absorb a leaf, absorb(state) closes it
+    into the one below, and result(state) reads the root. fold restarts
+    from the snapshot before the first position where seq differs from
+    a copy of the last sequence, and raises ValueError unless
+    len(seq) == n, seq[0] == 0 and 1 <= seq[i] <= seq[i - 1] + 1 on the
+    refolded suffix (the prefix was checked when it was folded).
+
+    Each fold has its own snapshots and copy, so level_fold and
+    trace_fold share this code but no state and no math: a carried-state
+    error in either shows as a trace_identities violation unless both
+    err alike on d_(n-2) and d_(n-3). An error here would hit both; the
+    tests compare each fold with a reference that folds trees afresh.
+    """
+
+    @wraps(rules)
+    def factory(n: int):
+        if n < 3:
+            raise ValueError("tree kernel needs order at least 3")
+        opened, leaf, absorb, result = rules(n)
+        # snaps[i]: the open ancestors of vertex i, nearest first; vertex i is
+        # open too, with no children yet, so it is left implicit
+        snaps: list = [None] * (n + 1)
+        last = [0]  # a copy of the last sequence folded, as far as snaps hold it
+
+        def fold(seq):
+            if len(seq) != n or seq[0] != 0:
+                raise ValueError(f"a level sequence of order {n} has {n} depths, from 0")
+            start = 1
+            stop = len(last)
+            while start < stop and seq[start] == last[start]:
+                start += 1
+            del last[start:]  # a fold that raises midway leaves snaps valid up to here
+            state = snaps[start - 1]
+            prev = seq[start - 1]
+            # a last step to depth 1 closes every vertex below the root
+            for i, d in enumerate(chain(islice(seq, start, None), (1,)), start):
+                if not 0 < d <= prev + 1:
+                    raise ValueError(f"seq[{i}] = {d} after {prev}: not a level sequence")
+                if d > prev:  # vertex i - 1 is the parent of i
+                    state = opened + (state,)
+                else:  # vertex i - 1 is a leaf
+                    state = leaf(state)
+                    for _ in range(prev - d):  # close the ancestors at depth >= d
+                        state = absorb(state)
+                snaps[i] = state
+                prev = d
+            last.extend(islice(seq, start, None))
+            return result(state)
+
+        return fold
+
+    return factory
+
+
+@_restartable
 def level_fold(n: int):
     """det(xI - D) of trees of order n given as level sequences, folded
     from the first position at which each differs from the one before.
 
-    Returns charpoly(seq): seq is a preorder list of depths, the root
-    first at depth 0. Any sequence may follow any other: the fold compares
-    seq with a copy of the last one and refolds from where they differ.
-    charpoly raises ValueError unless len(seq) == n, seq[0] == 0 and
-    1 <= seq[i] <= seq[i - 1] + 1 for every i > 0; only the refolded
-    suffix is scanned, since the prefix was checked when it was folded.
+    Returns fold(seq) -> CharPoly, restarted and checked by _restartable.
 
     Graham and Lovasz give D^-1 = -L/2 + tau tau^T / (2(n-1)) with
     tau_v = 2 - deg v, so the matrix determinant lemma yields
@@ -151,9 +209,7 @@ def level_fold(n: int):
     plus the child count that gives delta. (The part of W linear in s0
     obeys sigma's rule doubled, so it is 2 s0 sigma.) A leaf closes to
     the constant (A, B, S, W, V) = (2 + x, 1, 1, 1, 0), so absorbing one
-    takes small multiples and shifts only. The open path is a persistent
-    stack of tuples, and the stack of the ancestors of each position is
-    kept, so a tree restarts from the snapshot before its first change.
+    takes small multiples and shifts only.
 
     Each polynomial is held as one int, its value at X = 2^w (Kronecker
     substitution), so a product of polynomials is one big-int multiply
@@ -171,15 +227,13 @@ def level_fold(n: int):
     difference of two nonnegative terms, so below n^2 4^n in absolute
     value.
     """
-    if n < 3:
-        raise ValueError("tree kernel needs order at least 3")
     w = (n * n << 2 * n).bit_length() + 1
     w1 = w + 1
     w2 = 2 * w
-    leaf = 2 + (1 << w)
+    closed_leaf = 2 + (1 << w)
     # an open vertex that has absorbed one leaf and nothing else
     # (the general rule from (0, 1, 0, 0, 0, 0) gives the same ints; this saves ~12% on one tree)
-    one_leaf = (1, leaf, -(1 << w2), 1 << w, 1, 0)
+    one_leaf = (1, closed_leaf, -(1 << w2), 1 << w, 1, 0)
     # N is decoded from bias - N, whose base-X digits half - N_j all lie
     # in [0, X), each a multiple of 4 exactly when N_j is
     half = 1 << (w - 1)
@@ -189,65 +243,43 @@ def level_fold(n: int):
     bias = ones << (w - 1)
     fours = 3 * ones
     shifts = range(0, (n + 1) * w, w)
-    # snaps[i]: the open ancestors of vertex i, nearest first, as nested
-    # tuples (child count, B, alpha, sigma, V, omega, rest); vertex i is
-    # open too, with no children yet, so it is left implicit
-    snaps: list = [None] * (n + 1)
-    last = [0]  # a copy of the last sequence folded, as far as snaps hold it
 
-    def charpoly(seq) -> CharPoly:
-        if len(seq) != n or seq[0] != 0:
-            raise ValueError(f"a level sequence of order {n} has {n} depths, from 0")
-        start = 1
-        stop = len(last)
-        while start < stop and seq[start] == last[start]:
-            start += 1
-        del last[start:]  # a fold that raises midway leaves snaps valid up to here
-        state = snaps[start - 1]
-        prev = seq[start - 1]
-        # a last step to depth 1 closes every vertex below the root
-        for i, d in enumerate(chain(islice(seq, start, None), (1,)), start):
-            if not 0 < d <= prev + 1:
-                raise ValueError(f"seq[{i}] = {d} after {prev}: not a level sequence")
-            if d > prev:  # vertex i - 1 is the parent of i
-                state = (0, 1, 0, 0, 0, 0, state)
-            else:  # vertex i - 1 is a leaf
-                k, B, al, si, V, om, rest = state
-                if k:
-                    state = (
-                        k + 1,
-                        B * leaf,
-                        al * leaf - (B << w2),
-                        si * leaf + (B << w),
-                        V * leaf + B,
-                        om * leaf + al + (si << w1) - (V << w2),
-                        rest,
-                    )
-                else:
-                    state = one_leaf + (rest,)
-                for _ in range(prev - d):  # close the ancestors at depth >= d
-                    k, B, al, si, V, om, rest = state
-                    a0 = 2 + (k + 1 << w)
-                    s0 = 1 - k
-                    A = a0 * B + al
-                    S = s0 * B + si
-                    W = s0 * (S + si) + a0 * V + om
-                    k, pB, pal, psi, pV, pom, rest = rest
-                    if k:
-                        state = (
-                            k + 1,
-                            pB * A,
-                            pal * A - (pB * B << w2),
-                            psi * A + (pB * S << w),
-                            pV * A + pB * W,
-                            pom * A + pal * W + (psi * S << w1) - (pV * B + pB * V << w2),
-                            rest,
-                        )
-                    else:  # same ints as the rule from (0, 1, 0, 0, 0, 0); saves ~12% on one tree
-                        state = (1, A, -(B << w2), S << w, W, -(V << w2), rest)
-            snaps[i] = state
-            prev = d
-        last.extend(islice(seq, start, None))
+    # a state is (child count, B, alpha, sigma, V, omega, rest)
+    def leaf(state):
+        k, B, al, si, V, om, rest = state
+        if not k:
+            return one_leaf + (rest,)
+        return (
+            k + 1,
+            B * closed_leaf,
+            al * closed_leaf - (B << w2),
+            si * closed_leaf + (B << w),
+            V * closed_leaf + B,
+            om * closed_leaf + al + (si << w1) - (V << w2),
+            rest,
+        )
+
+    def absorb(state):
+        k, B, al, si, V, om, rest = state
+        a0 = 2 + (k + 1 << w)
+        s0 = 1 - k
+        A = a0 * B + al
+        S = s0 * B + si
+        W = s0 * (S + si) + a0 * V + om
+        k, pB, pal, psi, pV, pom, rest = rest
+        if not k:  # same ints as the rule from (0, 1, 0, 0, 0, 0); saves ~12% on one tree
+            return (1, A, -(B << w2), S << w, W, -(V << w2), rest)
+        return (
+            k + 1,
+            pB * A,
+            pal * A - (pB * B << w2),
+            psi * A + (pB * S << w),
+            pV * A + pB * W,
+            pom * A + pal * W + (psi * S << w1) - (pV * B + pB * V << w2),
+            rest,
+        )
+
+    def result(state) -> CharPoly:
         k, B, al, si, V, om, _ = state
         a0 = 2 + (k << w)
         S = (2 - k) * B + si
@@ -256,7 +288,7 @@ def level_fold(n: int):
             raise RuntimeError("internal error: tree kernel numerator is not 4 times a polynomial")
         return CharPoly(n, tuple([((digits >> j & mask) - half) >> 2 for j in shifts]))
 
-    return charpoly
+    return (0, 1, 0, 0, 0, 0), leaf, absorb, result
 
 
 def tree_charpoly(parent) -> CharPoly:
@@ -315,19 +347,20 @@ def trace_power(matrix) -> tuple[int, int]:
     return tr2, diag + 2 * off
 
 
+@_restartable
 def trace_fold(n: int):
     """(tr(D^2), tr(D^3), diameter) of trees of order n given as level
     sequences, folded from the first position at which each differs from
     the one before.
 
-    Takes and rejects the same sequences as level_fold's closure, and
-    restarts the same way, from a snapshot of its own persistent stack.
-    A closed subtree keeps small ints measured from its root (delta is
-    the depth below it): its size s, a1 = sum delta, a2 = sum delta^2;
-    over ordered pairs P0 = sum d(u, v), P1 = sum d(u, v) delta_u,
-    P2 = sum d(u, v) delta_u delta_v and T2 = sum d(u, v)^2; over ordered
-    triples T3 = sum d(u, v) d(v, w) d(w, u); its height h and diameter
-    m. A closing child C is re-measured from its parent
+    Returns fold(seq) -> (tr2, tr3, diameter), restarted and checked by
+    _restartable. A closed subtree keeps small ints measured from its
+    root (delta is the depth below it): its size s, a1 = sum delta,
+    a2 = sum delta^2; over ordered pairs P0 = sum d(u, v),
+    P1 = sum d(u, v) delta_u, P2 = sum d(u, v) delta_u delta_v and
+    T2 = sum d(u, v)^2; over ordered triples
+    T3 = sum d(u, v) d(v, w) d(w, u); its height h and diameter m. A
+    closing child C is re-measured from its parent
     (P2 += 2 P1 + P0, P1 += P0, a2 += 2 a1 + s, a1 += s, h += 1) and
     merged into the open vertex X. A path from X into C runs through X's
     root, so a cross distance is delta_u + gamma_w, and with
@@ -341,70 +374,37 @@ def trace_fold(n: int):
     takes small additions, and merging into a lone vertex (s_X = 1, the
     rest 0) only shifts the child's ints. The root's T2, T3 and m are
     the result: O(n) small-int operations, and no digit width to prove.
-
-    The fold uses the path metric only: no Laplacian identity and none
-    of level_fold's state. The two share only the restart comparison,
-    each against its own copy of the last sequence. So a carried-state
-    error in either fold shows as a trace_identities violation
-    (2 d_(n-2) != tr(D^2) or 6 d_(n-3) != tr(D^3)), unless both err the
-    same way on those two coefficients.
+    The fold uses the path metric only: no Laplacian identity.
     """
-    if n < 3:
-        raise ValueError("tree kernel needs order at least 3")
-    # snaps[i]: the open ancestors of vertex i, nearest first, as nested
-    # tuples (s, a1, a2, P0, P1, P2, T2, T3, h, m, rest); vertex i is
-    # open too, with no children yet, so it is left implicit
-    snaps: list = [None] * (n + 1)
-    last = [0]  # a copy of the last sequence folded, as far as snaps hold it
     one_leaf = (2, 1, 1, 2, 1, 0, 2, 0, 1, 1)  # a lone vertex that has merged one leaf
 
-    def traces(seq) -> tuple[int, int, int]:
-        if len(seq) != n or seq[0] != 0:
-            raise ValueError(f"a level sequence of order {n} has {n} depths, from 0")
-        start = 1
-        stop = len(last)
-        while start < stop and seq[start] == last[start]:
-            start += 1
-        del last[start:]  # a fold that raises midway leaves snaps valid up to here
-        state = snaps[start - 1]
-        prev = seq[start - 1]
-        # a last step to depth 1 closes every vertex below the root
-        for i, d in enumerate(chain(islice(seq, start, None), (1,)), start):
-            if not 0 < d <= prev + 1:
-                raise ValueError(f"seq[{i}] = {d} after {prev}: not a level sequence")
-            if d > prev:  # vertex i - 1 is the parent of i
-                state = (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, state)
-            else:  # vertex i - 1 is a leaf
-                s, a1, a2, P0, P1, P2, T2, T3, h, m, rest = state
-                if s > 1:
-                    c = a2 + 2 * a1 + s
-                    state = (s + 1, a1 + 1, a2 + 1, P0 + 2 * (a1 + s), P1 + c, P2 + 2 * (a2 + a1),
-                             T2 + 2 * c, T3 + 3 * (P2 + 2 * P1 + P0), h, max(m, h + 1), rest)
-                else:  # the general rule from a lone vertex gives the same ints
-                    state = one_leaf + (rest,)
-                for _ in range(prev - d):  # close the ancestors at depth >= d
-                    s, a1, a2, P0, P1, P2, T2, T3, h, m, rest = state
-                    P2 += 2 * P1 + P0  # re-measured from the parent
-                    P1 += P0
-                    a2 += 2 * a1 + s
-                    a1 += s
-                    h += 1
-                    S, A1, A2, Q0, Q1, Q2, U2, U3, H, M, rest = rest
-                    if S > 1:
-                        c = s * A2 + 2 * A1 * a1 + S * a2
-                        U3 += 3 * (s * Q2 + 2 * a1 * Q1 + a2 * Q0 + S * P2 + 2 * A1 * P1 + A2 * P0)
-                        state = (S + s, A1 + a1, A2 + a2, Q0 + P0 + 2 * (s * A1 + S * a1),
-                                 Q1 + P1 + c, Q2 + P2 + 2 * (A2 * a1 + A1 * a2), U2 + T2 + 2 * c,
-                                 U3 + T3, H if H > h else h, max(M, m, H + h), rest)
-                    else:  # the same ints, from a lone vertex; halves a fresh path's time
-                        state = (s + 1, a1, a2, P0 + 2 * a1, P1 + a2, P2, T2 + 2 * a2,
-                                 T3 + 3 * P2, h, m if m > h else h, rest)
-            snaps[i] = state
-            prev = d
-        last.extend(islice(seq, start, None))
-        return state[6], state[7], state[9]
+    # a state is (s, a1, a2, P0, P1, P2, T2, T3, h, m, rest)
+    def leaf(state):
+        s, a1, a2, P0, P1, P2, T2, T3, h, m, rest = state
+        if s == 1:  # the general rule from a lone vertex gives the same ints
+            return one_leaf + (rest,)
+        c = a2 + 2 * a1 + s
+        return (s + 1, a1 + 1, a2 + 1, P0 + 2 * (a1 + s), P1 + c, P2 + 2 * (a2 + a1),
+                T2 + 2 * c, T3 + 3 * (P2 + 2 * P1 + P0), h, max(m, h + 1), rest)
 
-    return traces
+    def absorb(state):
+        s, a1, a2, P0, P1, P2, T2, T3, h, m, rest = state
+        P2 += 2 * P1 + P0  # re-measured from the parent
+        P1 += P0
+        a2 += 2 * a1 + s
+        a1 += s
+        h += 1
+        S, A1, A2, Q0, Q1, Q2, U2, U3, H, M, rest = rest
+        if S == 1:  # the same ints, from a lone vertex; halves a fresh path's time
+            return (s + 1, a1, a2, P0 + 2 * a1, P1 + a2, P2, T2 + 2 * a2,
+                    T3 + 3 * P2, h, m if m > h else h, rest)
+        c = s * A2 + 2 * A1 * a1 + S * a2
+        U3 += 3 * (s * Q2 + 2 * a1 * Q1 + a2 * Q0 + S * P2 + 2 * A1 * P1 + A2 * P0)
+        return (S + s, A1 + a1, A2 + a2, Q0 + P0 + 2 * (s * A1 + S * a1),
+                Q1 + P1 + c, Q2 + P2 + 2 * (A2 * a1 + A1 * a2), U2 + T2 + 2 * c,
+                U3 + T3, H if H > h else h, max(M, m, H + h), rest)
+
+    return (1, 0, 0, 0, 0, 0, 0, 0, 0, 0), leaf, absorb, itemgetter(6, 7, 9)  # T2, T3, m
 
 
 def tree_traces(parent) -> tuple[int, int, int]:

@@ -98,51 +98,16 @@ def peak_interval(seq) -> PeakInterval:
 @cache
 def _order_constants(n: int) -> tuple[int, int, int, int]:
     """floor(n/2), ceil(n - n/sqrt(5)), C(n-1, 2) and ceil(2n/3), once per
-    order n >= 3; see conjecture_range, upper_bound_rho and theorem_cap."""
+    order n >= 3; see bound_set and theorem_cap."""
     if n < 3:
         raise ValueError("order must be at least 3")
     return n // 2, n - isqrt(n * n // 5), comb(n - 1, 2), -(-2 * n // 3)
 
 
-def conjecture_range(n: int) -> tuple[int, int]:
-    """Conjectured peak window [floor(n/2), ceil(n - n/sqrt(5))].
-
-    Since n/sqrt(5) is irrational, ceil(n - n/sqrt(5)) = n - floor(n/sqrt(5))
-    and floor(n/sqrt(5)) = isqrt(n^2 // 5), so the result needs integer
-    arithmetic only.
-    """
-    lo, hi, _, _ = _order_constants(n)
-    return lo, hi
-
-
-def upper_bound_rho(n: int, n_p3: int) -> int:
-    """Proven peak upper bound ceil((2 - rho) n / (3 - rho)).
-
-    rho = n_p3 / C(n-1, 2) measures how star-like the tree is; the value
-    is evaluated as ceil(n (2C - n_p3) / (3C - n_p3)) with C = C(n-1, 2),
-    all in integers.
-    """
-    _, _, cap, _ = _order_constants(n)
-    if not 0 <= n_p3 <= cap:
-        raise ValueError(f"path-of-length-2 count {n_p3} outside [0, {cap}]")
-    num = n * (2 * cap - n_p3)
-    den = 3 * cap - n_p3
-    return -(-num // den)
-
-
 def theorem_cap(n: int) -> int:
-    """ceil(2n/3): upper_bound_rho at rho = 0, which caps it for every
+    """ceil(2n/3): bound_set's thm_hi at rho = 0, which caps it for every
     rho >= 0."""
     return _order_constants(n)[3]
-
-
-def lower_bound_diam(n: int, diam: int) -> int:
-    """Proven peak lower bound floor((n - 2) / (1 + diameter))."""
-    if n < 3:
-        raise ValueError("order must be at least 3")
-    if not 1 <= diam <= n - 1:
-        raise ValueError(f"diameter {diam} outside [1, {n - 1}]")
-    return (n - 2) // (1 + diam)
 
 
 def ratio_bound_check(d, diam: int) -> bool:
@@ -154,6 +119,21 @@ def ratio_bound_check(d, diam: int) -> bool:
 
 
 def bound_set(n: int, n_p3: int, diam: int) -> BoundSet:
-    """All four peak bounds for a tree with the given statistics."""
-    lo, hi = conjecture_range(n)
-    return BoundSet(lo, hi, lower_bound_diam(n, diam), upper_bound_rho(n, n_p3))
+    """All four peak bounds for a tree of order n with n_p3 paths of
+    length 2 and the given diameter, in integers only.
+
+    The conjectured window is [floor(n/2), ceil(n - n/sqrt(5))]. Since
+    n/sqrt(5) is irrational, ceil(n - n/sqrt(5)) = n - floor(n/sqrt(5))
+    and floor(n/sqrt(5)) = isqrt(n^2 // 5). The proven lower bound is
+    floor((n - 2) / (1 + diam)), and the proven upper bound is
+    ceil((2 - rho) n / (3 - rho)) for rho = n_p3 / C with C = C(n-1, 2),
+    which measures how star-like the tree is; it is evaluated as
+    ceil(n (2C - n_p3) / (3C - n_p3)). Raises ValueError when n < 3, diam
+    lies outside [1, n - 1] or n_p3 outside [0, C].
+    """
+    lo, hi, cap, _ = _order_constants(n)
+    if not 1 <= diam <= n - 1:
+        raise ValueError(f"diameter {diam} outside [1, {n - 1}]")
+    if not 0 <= n_p3 <= cap:
+        raise ValueError(f"path-of-length-2 count {n_p3} outside [0, {cap}]")
+    return BoundSet(lo, hi, (n - 2) // (1 + diam), -(-n * (2 * cap - n_p3) // (3 * cap - n_p3)))

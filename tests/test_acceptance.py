@@ -156,8 +156,8 @@ def test_criterion_6_path_peak_trend():
         dm = graphs.distance_matrix(oracles.path_graph(n))
         d = polynomials.normalized_seq(polynomials.delta_seq(polynomials.charpoly(dm)))
         peak = sequences.peak_interval(d)
-        lo, hi = sequences.conjecture_range(n)
-        assert lo <= peak.first and peak.last <= hi, f"path order {n}"
+        bounds = sequences.bound_set(n, n - 2, n - 1)  # the path's P3 count and diameter
+        assert bounds.conj_lo <= peak.first and peak.last <= bounds.conj_hi, f"path order {n}"
         ratios.append((n, peak.first, peak.last, peak.first / n))
     # qualitative report only: the expected trend is about 0.5528
     sample = ", ".join(f"n={n}:{first}/{n}={ratio:.4f}" for n, first, _, ratio in ratios[-4:])

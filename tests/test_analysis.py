@@ -244,6 +244,18 @@ class TestVerifyRange:
         assert report.total_violations == report.total_trees == 12
         assert all(item["failed"] == ["trace_identities"] for item in report.violations)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_enumeration_mismatch_raises(self, monkeypatch, jobs):
+        # an internal error, not an interrupted sweep, whatever the number of workers
+        real = treegen.tree_count_recurrence
+        monkeypatch.setattr(analysis.treegen, "tree_count_recurrence", lambda n: real(n) + (n == 5))
+        with pytest.raises(RuntimeError, match="enumeration mismatch at order 5") as err:
+            analysis.verify_range(6, jobs=jobs)
+        assert type(err.value) is RuntimeError
+        assert str(err.value) == (
+            "enumeration mismatch at order 5: generated 3 trees but the counting recurrence gives 4"
+        )
+
     @pytest.mark.parametrize("interrupt", [MemoryError, KeyboardInterrupt])
     def test_interruption_reports_partial_progress(self, monkeypatch, interrupt):
         real = treegen.tree_stream

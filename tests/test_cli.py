@@ -269,6 +269,51 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["total_trees"] == 23
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_enumeration_mismatch_exits_2(self, capsys, monkeypatch, jobs):
+        from distpoly import analysis
+
+        real = treegen.tree_count_recurrence
+        monkeypatch.setattr(analysis.treegen, "tree_count_recurrence", lambda n: real(n) + (n == 5))
+        code, out, err = run_cli(capsys, "verify", "--max-order", "6", "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: enumeration mismatch at order 5:")
+        assert "Traceback" not in err
+
+    def test_kernel_internal_error_exits_2(self, capsys, monkeypatch):
+        from distpoly import analysis
+
+        message = "internal error: tree kernel numerator is not 4 times a polynomial"
+
+        def broken_fold(n):
+            def fold(seq):
+                raise RuntimeError(message)
+
+            return fold
+
+        monkeypatch.setattr(analysis.polynomials, "level_fold", broken_fold)
+        code, out, err = run_cli(capsys, "verify", "--max-order", "5", "--per-tree")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_interrupted_sweep_exits_2(self, capsys, monkeypatch):
+        from distpoly import analysis
+
+        real = treegen.tree_stream
+
+        def exploding(n):
+            if n == 5:
+                raise MemoryError("simulated")
+            return real(n)
+
+        monkeypatch.setattr(analysis.treegen, "tree_stream", exploding)
+        code, out, err = run_cli(capsys, "verify", "--max-order", "6")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: sweep aborted after 3 trees; orders [3, 4] completed")
+
 
 class TestUsage:
     def test_no_arguments(self, capsys):

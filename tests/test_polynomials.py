@@ -34,6 +34,20 @@ def tree_graph(rng, n):
     )
 
 
+def extreme_shapes(n):
+    """The path, the star, a broom and a caterpillar of order n."""
+    spine = n // 2  # the caterpillar's spine carries one leaf per vertex
+    caterpillar = [(i, i + 1) for i in range(spine - 1)]
+    caterpillar += [(i - spine, i) for i in range(spine, n)]
+    broom = [(i, i + 1) for i in range(n // 2)] + [(n // 2, v) for v in range(n // 2 + 1, n)]
+    return [
+        oracles.path_graph(n),
+        oracles.star_graph(n),
+        graphs.graph_from_edges(n, broom),
+        graphs.graph_from_edges(n, caterpillar),
+    ]
+
+
 class TestCharpoly:
     def test_p3(self):
         dm = graphs.distance_matrix(oracles.path_graph(3))
@@ -104,6 +118,15 @@ class TestTreeCharpoly:
             expected = polynomials.charpoly(graphs.distance_matrix(g))
             assert polynomials.tree_charpoly(treegen.preorder_parents(g)) == expected
 
+    def test_extreme_shapes_at_order_60_match_the_matrix(self):
+        # both tree kernels against the distance matrix, by other math:
+        # Berkowitz for the polynomial, row products for the traces
+        for g in extreme_shapes(60):
+            parent = treegen.preorder_parents(g)
+            dm = graphs.distance_matrix(g)
+            assert polynomials.tree_charpoly(parent) == polynomials.charpoly(dm)
+            assert polynomials.tree_traces(parent) == TestTreeTraces.expected(g)
+
     @pytest.mark.parametrize("n", [25, 40, 60, 100, 200])
     def test_packing_matches_list_oracle(self, n):
         # the path has the largest coefficients: at n = 200 they need 384
@@ -151,10 +174,85 @@ BAD_SEQUENCES_OF_ORDER_6 = [
 ]
 
 
-class TestLevelFold:
-    """The fold, which refolds each sequence from where it first differs from
-    the last one it folded, against the leaf-to-root kernel in
-    tests/oracles.py."""
+class FoldContract:
+    """What each restartable fold promises, whatever its math: a fold
+    that refolds every sequence from where it first differs from the last
+    one it folded equals a reference that folds every tree afresh, and
+    rejects what is not a level sequence. A subclass names the fold's
+    factory, its reference on parent arrays and a shuffle seed."""
+
+    fold = reference = shuffle_seed = None
+
+    def expected(self, seq):
+        return self.reference(oracles.parents_from_levels(seq))
+
+    # each subclass collects these two under names that say its reference
+    @pytest.mark.parametrize("n", range(3, 17))
+    def stream_fold_matches_reference(self, n):
+        fold = self.fold(n)
+        for i, (seq, parent) in enumerate(treegen.tree_stream(n)):
+            assert fold(seq) == self.reference(parent), (n, i)
+
+    def shuffled_stream_with_repeats_matches_reference(self):
+        rng = random.Random(self.shuffle_seed)
+        for n in range(3, 13):
+            trees = [(seq, self.reference(parent)) for seq, parent in treegen.tree_stream(n)] * 2
+            rng.shuffle(trees)
+            fold = self.fold(n)
+            for seq, expected in trees:
+                assert fold(seq) == expected, (n, seq)
+
+    def test_caller_changing_its_list_later_does_not_reach_the_fold(self):
+        # the caller reuses one list for the path and then the star
+        (path, _), *_, (star, parent) = treegen.tree_stream(8)
+        fold = self.fold(8)
+        seq = list(path)
+        fold(seq)
+        seq[:] = star
+        assert fold(seq) == self.reference(parent)
+
+    def test_fold_that_raises_midway_leaves_the_next_one_right(self):
+        fold = self.fold(8)
+        fold([0, 1, 2, 3, 4, 1, 2, 3])
+        with pytest.raises(ValueError):  # a step to depth 0 would close the root
+            fold([0, 1, 2, 3, 4, 1, 1, 0])
+        # first differs from the first sequence at 7, past the state the failed fold overwrote
+        seq = [0, 1, 2, 3, 4, 1, 2, 1]
+        assert fold(seq) == self.expected(seq)
+        with pytest.raises(ValueError):  # a depth jump after the fold's held prefix
+            fold([0, 1, 2, 3, 4, 1, 2, 4])
+        with pytest.raises(ValueError):  # too short, with a prefix the fold holds
+            fold([0, 1, 2, 3, 4, 1, 2])
+        seq = [0, 1, 2, 3, 4, 1, 2, 2]
+        assert fold(seq) == self.expected(seq)
+
+    @pytest.mark.parametrize("seq", BAD_SEQUENCES_OF_ORDER_6)
+    def test_bad_sequence_rejected_after_any_fold(self, seq):
+        fold = self.fold(6)
+        with pytest.raises(ValueError):
+            fold(seq)
+        for valid, parent in treegen.tree_stream(6):
+            # each valid fold follows a rejected one
+            assert fold(valid) == self.reference(parent)
+            with pytest.raises(ValueError):
+                fold(seq)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_small_order_rejected(self, n):
+        with pytest.raises(ValueError, match="order at least 3"):
+            self.fold(n)
+
+
+class TestLevelFold(FoldContract):
+    """The fold against the leaf-to-root kernel in tests/oracles.py."""
+
+    fold = staticmethod(polynomials.level_fold)
+    reference = staticmethod(oracles.tree_charpoly_leaf_to_root)
+    shuffle_seed = 101
+    test_stream_fold_matches_leaf_to_root_kernel = FoldContract.stream_fold_matches_reference
+    test_shuffled_stream_with_repeats_matches_leaf_to_root_kernel = (
+        FoldContract.shuffled_stream_with_repeats_matches_reference
+    )
 
     def test_leaf_to_root_reference_matches_berkowitz(self):
         for n in range(3, 11):
@@ -162,71 +260,18 @@ class TestLevelFold:
                 expected = polynomials.charpoly(graphs.distance_matrix(treegen.to_graph(tree)))
                 assert oracles.tree_charpoly_leaf_to_root(tree.parent) == expected
 
-    @pytest.mark.parametrize("n", range(3, 17))
-    def test_stream_fold_matches_leaf_to_root_kernel(self, n):
-        fold = polynomials.level_fold(n)
-        for i, (seq, parent) in enumerate(treegen.tree_stream(n)):
-            assert fold(seq) == oracles.tree_charpoly_leaf_to_root(parent), (n, i)
 
-    def test_shuffled_stream_with_repeats_matches_leaf_to_root_kernel(self):
-        rng = random.Random(101)
-        for n in range(3, 13):
-            trees = [(seq, oracles.tree_charpoly_leaf_to_root(parent))
-                     for seq, parent in treegen.tree_stream(n)] * 2
-            rng.shuffle(trees)
-            fold = polynomials.level_fold(n)
-            for seq, expected in trees:
-                assert fold(seq) == expected, (n, seq)
+class TestTraceFold(FoldContract):
+    """The trace fold against the packed path-metric traces in
+    tests/oracles.py."""
 
-    def test_caller_changing_its_list_later_does_not_reach_the_fold(self):
-        # the caller reuses one list for the path and then the star
-        (path, _), *_, (star, parent) = treegen.tree_stream(8)
-        fold = polynomials.level_fold(8)
-        seq = list(path)
-        fold(seq)
-        seq[:] = star
-        assert fold(seq) == oracles.tree_charpoly_leaf_to_root(parent)
-
-    def test_fold_that_raises_midway_leaves_the_next_one_right(self):
-        fold = polynomials.level_fold(8)
-        fold([0, 1, 2, 3, 4, 1, 2, 3])
-        with pytest.raises(ValueError):  # a step to depth 0 would close the root
-            fold([0, 1, 2, 3, 4, 1, 1, 0])
-        # first differs from the first sequence at 7, past the state the failed fold overwrote
-        seq = [0, 1, 2, 3, 4, 1, 2, 1]
-        assert fold(seq) == oracles.tree_charpoly_leaf_to_root(oracles.parents_from_levels(seq))
-        with pytest.raises(ValueError):  # a depth jump after the fold's held prefix
-            fold([0, 1, 2, 3, 4, 1, 2, 4])
-        with pytest.raises(ValueError):  # too short, with a prefix the fold holds
-            fold([0, 1, 2, 3, 4, 1, 2])
-        seq = [0, 1, 2, 3, 4, 1, 2, 2]
-        assert fold(seq) == oracles.tree_charpoly_leaf_to_root(oracles.parents_from_levels(seq))
-
-    @pytest.mark.parametrize("seq", BAD_SEQUENCES_OF_ORDER_6)
-    def test_bad_sequence_rejected_after_any_fold(self, seq):
-        fold = polynomials.level_fold(6)
-        with pytest.raises(ValueError):
-            fold(seq)
-        for valid, parent in treegen.tree_stream(6):
-            # each valid fold follows a rejected one
-            assert fold(valid) == oracles.tree_charpoly_leaf_to_root(parent)
-            with pytest.raises(ValueError):
-                fold(seq)
-
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_small_order_rejected(self, n):
-        with pytest.raises(ValueError, match="order at least 3"):
-            polynomials.level_fold(n)
-
-
-class TestTraceFold:
-    """The trace fold, which refolds each sequence from where it first
-    differs from the last one it folded, against the packed path-metric
-    traces in tests/oracles.py."""
-
-    @staticmethod
-    def expected(seq):
-        return oracles.packed_traces(oracles.parents_from_levels(seq))
+    fold = staticmethod(polynomials.trace_fold)
+    reference = staticmethod(oracles.packed_traces)
+    shuffle_seed = 103
+    test_stream_fold_matches_packed_traces = FoldContract.stream_fold_matches_reference
+    test_shuffled_stream_with_repeats_matches_packed_traces = (
+        FoldContract.shuffled_stream_with_repeats_matches_reference
+    )
 
     def test_packed_reference_matches_trace_power(self):
         for n in range(3, 11):
@@ -243,75 +288,9 @@ class TestTraceFold:
         g = oracles.path_graph(n)
         assert oracles.packed_traces(treegen.preorder_parents(g)) == TestTreeTraces.expected(g)
 
-    @pytest.mark.parametrize("n", range(3, 17))
-    def test_stream_fold_matches_packed_traces(self, n):
-        fold = polynomials.trace_fold(n)
-        for i, (seq, parent) in enumerate(treegen.tree_stream(n)):
-            assert fold(seq) == oracles.packed_traces(parent), (n, i)
-
-    def test_shuffled_stream_with_repeats_matches_packed_traces(self):
-        rng = random.Random(103)
-        for n in range(3, 13):
-            trees = [(seq, oracles.packed_traces(parent))
-                     for seq, parent in treegen.tree_stream(n)] * 2
-            rng.shuffle(trees)
-            fold = polynomials.trace_fold(n)
-            for seq, expected in trees:
-                assert fold(seq) == expected, (n, seq)
-
-    def test_caller_changing_its_list_later_does_not_reach_the_fold(self):
-        # the caller reuses one list for the path and then the star
-        (path, _), *_, (star, parent) = treegen.tree_stream(8)
-        fold = polynomials.trace_fold(8)
-        seq = list(path)
-        fold(seq)
-        seq[:] = star
-        assert fold(seq) == oracles.packed_traces(parent)
-
-    def test_fold_that_raises_midway_leaves_the_next_one_right(self):
-        fold = polynomials.trace_fold(8)
-        fold([0, 1, 2, 3, 4, 1, 2, 3])
-        with pytest.raises(ValueError):  # a step to depth 0 would close the root
-            fold([0, 1, 2, 3, 4, 1, 1, 0])
-        # first differs from the first sequence at 7, past the state the failed fold overwrote
-        seq = [0, 1, 2, 3, 4, 1, 2, 1]
-        assert fold(seq) == self.expected(seq)
-        with pytest.raises(ValueError):  # a depth jump after the fold's held prefix
-            fold([0, 1, 2, 3, 4, 1, 2, 4])
-        with pytest.raises(ValueError):  # too short, with a prefix the fold holds
-            fold([0, 1, 2, 3, 4, 1, 2])
-        seq = [0, 1, 2, 3, 4, 1, 2, 2]
-        assert fold(seq) == self.expected(seq)
-
-    @pytest.mark.parametrize("seq", BAD_SEQUENCES_OF_ORDER_6)
-    def test_bad_sequence_rejected_after_any_fold(self, seq):
-        fold = polynomials.trace_fold(6)
-        with pytest.raises(ValueError):
-            fold(seq)
-        for valid, parent in treegen.tree_stream(6):
-            # each valid fold follows a rejected one
-            assert fold(valid) == oracles.packed_traces(parent)
-            with pytest.raises(ValueError):
-                fold(seq)
-
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_small_order_rejected(self, n):
-        with pytest.raises(ValueError, match="order at least 3"):
-            polynomials.trace_fold(n)
-
     @pytest.mark.parametrize("n", [60, 100, 150, 200, 300])
     def test_fresh_fold_of_extreme_shapes(self, n):
-        spine = n // 2  # the caterpillar's spine carries one leaf per vertex
-        caterpillar = [(i, i + 1) for i in range(spine - 1)]
-        caterpillar += [(i - spine, i) for i in range(spine, n)]
-        broom = [(i, i + 1) for i in range(n // 2)] + [(n // 2, v) for v in range(n // 2 + 1, n)]
-        shapes = [
-            oracles.path_graph(n),
-            oracles.star_graph(n),
-            graphs.graph_from_edges(n, broom),
-            graphs.graph_from_edges(n, caterpillar),
-        ]
-        for g in shapes:
+        for g in extreme_shapes(n):
             parent = treegen.preorder_parents(g)
             seq = oracles.levels_from_parents(parent)
             assert polynomials.trace_fold(n)(seq) == oracles.packed_traces(parent)
@@ -322,6 +301,23 @@ class TestTraceFold:
             parent = treegen.preorder_parents(tree_graph(rng, n))
             seq = oracles.levels_from_parents(parent)
             assert polynomials.trace_fold(n)(seq) == oracles.packed_traces(parent), n
+
+
+def test_folds_share_no_state():
+    # two folds of each kind and one of each, interleaved over one shuffled
+    # order-9 stream each: a restart that read another fold's snapshots or
+    # copy of the last sequence would refold from the wrong state
+    rng = random.Random(109)
+    streams = []
+    for factory, reference in [(polynomials.level_fold, oracles.tree_charpoly_leaf_to_root),
+                               (polynomials.trace_fold, oracles.packed_traces)] * 2:
+        trees = [(seq, reference(parent)) for seq, parent in treegen.tree_stream(9)]
+        rng.shuffle(trees)
+        streams.append((factory(9), trees))
+    for step in range(len(streams[0][1])):
+        for k, (fold, trees) in enumerate(streams):
+            seq, expected = trees[step]
+            assert fold(seq) == expected, (k, seq)
 
 
 class TestTreeTraces:

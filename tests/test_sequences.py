@@ -184,58 +184,66 @@ class TestPeakInterval:
 class TestConjectureRange:
     @pytest.mark.parametrize("n,expected", [(5, (2, 3)), (10, (5, 6)), (20, (10, 12))])
     def test_examples(self, n, expected):
-        assert sequences.conjecture_range(n) == expected
+        bounds = sequences.bound_set(n, 0, 1)
+        assert (bounds.conj_lo, bounds.conj_hi) == expected
 
     def test_order_validation(self):
-        with pytest.raises(ValueError):
-            sequences.conjecture_range(2)
+        with pytest.raises(ValueError, match="order"):
+            sequences.bound_set(2, 0, 1)
 
     def test_integer_square_root_reduction(self):
         # hi = n - k must satisfy k <= n/sqrt(5) < k+1, i.e.
         # 5k^2 <= n^2 < 5(k+1)^2; this re-derives the ceiling independently
         for n in range(3, 2001):
-            lo, hi = sequences.conjecture_range(n)
+            bounds = sequences.bound_set(n, 0, 1)
+            lo, hi = bounds.conj_lo, bounds.conj_hi
             k = n - hi
             assert 5 * k * k <= n * n < 5 * (k + 1) * (k + 1)
             assert lo == n // 2
             assert lo <= hi
 
 
+def upper_bound_rho(n, n_p3):
+    return sequences.bound_set(n, n_p3, 2).thm_hi  # any diameter in [1, n - 1]
+
+
 class TestUpperBoundRho:
     @pytest.mark.parametrize("n", range(3, 21))
     def test_star_gives_half(self, n):
-        from math import comb
-
-        assert sequences.upper_bound_rho(n, comb(n - 1, 2)) == -(-n // 2)
+        assert upper_bound_rho(n, comb(n - 1, 2)) == -(-n // 2)
 
     @pytest.mark.parametrize("n", range(3, 21))
     def test_zero_rho_gives_two_thirds(self, n):
-        assert sequences.upper_bound_rho(n, 0) == -(-2 * n // 3)
+        assert upper_bound_rho(n, 0) == -(-2 * n // 3) == sequences.theorem_cap(n)
 
     def test_two_thirds_example(self):
-        assert sequences.upper_bound_rho(9, 0) == 6
+        assert upper_bound_rho(9, 0) == 6
 
     def test_smallest_tree(self):
-        assert sequences.upper_bound_rho(3, 1) == 2
+        assert upper_bound_rho(3, 1) == 2
 
     def test_range_validation(self):
-        with pytest.raises(ValueError):
-            sequences.upper_bound_rho(5, 7)  # C(4,2) = 6
-        with pytest.raises(ValueError):
-            sequences.upper_bound_rho(5, -1)
+        with pytest.raises(ValueError, match="path-of-length-2"):
+            upper_bound_rho(5, 7)  # C(4,2) = 6
+        with pytest.raises(ValueError, match="path-of-length-2"):
+            upper_bound_rho(5, -1)
+
+
+def lower_bound_diam(n, diam):
+    return sequences.bound_set(n, 0, diam).thm_lo
 
 
 class TestLowerBoundDiam:
     def test_examples(self):
-        assert sequences.lower_bound_diam(10, 9) == 0
-        assert sequences.lower_bound_diam(10, 2) == 2
-        assert sequences.lower_bound_diam(20, 3) == 4
+        assert lower_bound_diam(10, 9) == 0
+        assert lower_bound_diam(10, 2) == 2
+        assert lower_bound_diam(20, 3) == 4
 
     def test_range_validation(self):
-        with pytest.raises(ValueError):
-            sequences.lower_bound_diam(10, 0)
-        with pytest.raises(ValueError):
-            sequences.lower_bound_diam(10, 10)
+        with pytest.raises(ValueError, match="diameter"):
+            lower_bound_diam(10, 0)
+        with pytest.raises(ValueError, match="diameter"):
+            lower_bound_diam(10, 10)
 
 
 class TestRatioBound:
@@ -275,6 +283,7 @@ class TestCrossImplications:
     def test_bound_set_combines_the_four(self):
         bounds = sequences.bound_set(10, 9, 4)
         assert bounds.conj_lo == 5 and bounds.conj_hi == 6
-        assert bounds.thm_lo == sequences.lower_bound_diam(10, 4)
-        assert bounds.thm_hi == sequences.upper_bound_rho(10, 9)
+        assert bounds.thm_lo == lower_bound_diam(10, 4) == 8 // 5
+        # C(9, 2) = 36, so ceil(10 (72 - 9) / (108 - 9)) = ceil(630 / 99)
+        assert bounds.thm_hi == upper_bound_rho(10, 9) == 7
         assert 0 <= bounds.thm_lo and bounds.thm_hi <= 10
