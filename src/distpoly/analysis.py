@@ -3,19 +3,17 @@
 analyze_tree runs the full pipeline (characteristic polynomial, trace
 identities, coefficient sequences, predicates, bounds) on a tree given
 as a preorder parent array, with the two tree folds and no distance
-matrix. analyze_graph takes any connected graph: it relabels a tree into
-a preorder (treegen.preorder_parents, the one relabeler) and hands it to
-analyze_tree, and gives every other graph BFS distances and Berkowitz;
-both paths share one report builder. verify_range streams every free
-tree of orders 3..n_max through the same tree pipeline, with the
-characteristic polynomial (polynomials.level_fold) and the traces and
-diameter (polynomials.trace_fold) each folded from the level sequence
-by a fold of its own per order, and the 2-path count taken from the
-tree's parent array, and counts the trees per (peak, bounds) pair. Those
-counts are the whole aggregate, merged by Counter addition, so its
-content is independent of the worker count. With worker processes, each
-one walks the whole tree stream itself, analyzes every jobs-th chunk of
-it, and sends the results down its own one-way pipe.
+matrix. analyze_graph relabels a tree into a preorder
+(treegen.preorder_parents, the one relabeler) for analyze_tree, and
+gives every other graph BFS distances and Berkowitz. Both then run each
+check once (_checks) and build the TreeReport from what the checks
+computed (_report). verify_range runs the checks on every free tree of
+orders 3..n_max, with the polynomial and the traces each folded from
+the stream's level sequences (polynomials.level_fold and trace_fold),
+and counts the trees per (peak, bounds) pair. Those counts are the whole
+aggregate, merged by Counter addition, so its content is independent of
+the worker count. It builds a report only for a tree that fails a
+check, or for every tree when per-tree reports are asked for.
 
 JSON conventions: coefficient-sized integers are serialized as decimal
 strings because they outgrow 64-bit range quickly; dyadic rationals are
@@ -117,21 +115,9 @@ def analyze_tree(parent, tree_id: int | None = None) -> TreeReport:
     levels = polynomials._levels(parent)  # checked once, for both folds
     n = len(parent)
     poly = polynomials.level_fold(n)(levels)
-    return _tree_report(parent, poly, polynomials.trace_fold(n)(levels), tree_id)
-
-
-def _tree_report(parent, poly: polynomials.CharPoly, traces, tree_id: int | None) -> TreeReport:
-    # the traces fold the tree's level sequence apart from poly, and p3
-    # comes from its parent array, so the trace identities and the d_1
-    # formula check poly against that tree
-    tr2, tr3, diam = traces
-    degree = [1] * len(parent)
-    degree[0] = 0
-    for p in parent[1:]:
-        degree[p] += 1
-    # p3 = sum of C(deg v, 2), and the degrees sum to 2(n - 1)
-    p3 = (sum(map(mul, degree, degree)) >> 1) - len(parent) + 1
-    return _report(tree_id, True, diam, p3, poly, tr2, tr3)
+    tr2, tr3, diam = polynomials.trace_fold(n)(levels)
+    p3 = _p3_count(parent)
+    return _report(tree_id, True, diam, p3, poly, _checks(True, diam, p3, poly, tr2, tr3))
 
 
 def analyze_graph(g: graphs.Graph, tree_id: int | None = None) -> TreeReport:
@@ -155,51 +141,56 @@ def analyze_graph(g: graphs.Graph, tree_id: int | None = None) -> TreeReport:
     dm = graphs.distance_matrix(g)  # raises DisconnectedGraphError
     poly = polynomials.charpoly(dm)
     tr2, tr3 = polynomials.trace_power(dm)
-    return _report(tree_id, False, max(map(max, dm)), graphs.count_p3(g), poly, tr2, tr3)
+    diam, p3 = max(map(max, dm)), graphs.count_p3(g)
+    return _report(tree_id, False, diam, p3, poly, _checks(False, diam, p3, poly, tr2, tr3))
 
 
-def _report(
-    tree_id: int | None,
-    tree: bool,
-    diam: int,
-    p3: int,
-    poly: polynomials.CharPoly,
-    tr2: int,
-    tr3: int,
-) -> TreeReport:
+def _p3_count(parent) -> int:
+    """Sum of C(deg v, 2), the 2-path count, over a tree's parent array."""
+    degree = [1] * len(parent)
+    degree[0] = 0
+    for p in parent[1:]:
+        degree[p] += 1
+    return (sum(map(mul, degree, degree)) >> 1) - len(parent) + 1  # the degrees sum to 2(n - 1)
+
+
+def _checks(tree: bool, diam: int, p3: int, poly: polynomials.CharPoly, tr2: int, tr3: int):
+    """Runs every check once on a graph's polynomial; returns delta, d, peak,
+    bounds and the outcomes in CHECK_NAMES order (bounds and the tree checks
+    None off trees). The traces and p3 come apart from poly, so the trace
+    identities and the d_1 formula check poly against the graph."""
     delta = polynomials.delta_seq(poly)
     d = polynomials.normalized_seq(delta)
     peak = sequences.peak_interval(d)
-
+    outcomes = (
+        2 * d[-1] == tr2 and 6 * d[-2] == tr3,
+        sequences.is_log_concave(d),
+        sequences.is_unimodal(d),
+        sequences.newton_check(poly.coeffs),
+    )
+    if not tree:
+        return delta, d, peak, None, outcomes + (None,) * len(TREE_CHECKS)
     n = poly.n
-    checks: dict[str, bool | None] = {
-        "trace_identities": 2 * d[-1] == tr2 and 6 * d[-2] == tr3,
-        "log_concave": sequences.is_log_concave(d),
-        "unimodal": sequences.is_unimodal(d),
-        "newton": sequences.newton_check(poly.coeffs),
-    }
+    bounds = sequences.bound_set(n, p3, diam)
+    # (-1)^(n-1) delta_k = -c_k, and normalized_seq gives d_k as an int
+    # exactly when 2^(n-k-2) divides delta_k
+    return delta, d, peak, bounds, outcomes + (
+        max(poly.coeffs[: n - 1]) < 0,
+        Fraction not in map(type, d),
+        d[0] == n - 1,
+        d[1] == 2 * n * (n - 1) - 2 * p3 - 4,
+        sequences.ratio_bound_check(d, diam),
+        bounds.thm_lo <= peak.first and peak.last <= bounds.thm_hi <= sequences.theorem_cap(n),
+        bounds.conj_lo <= peak.first and peak.last <= bounds.conj_hi,
+    )
 
-    bounds: sequences.BoundSet | None = None
-    if tree:
-        # (-1)^(n-1) delta_k = -c_k, and normalized_seq gives d_k as an int
-        # exactly when 2^(n-k-2) divides delta_k
-        checks["sign_pattern"] = max(poly.coeffs[: n - 1]) < 0
-        checks["divisibility"] = Fraction not in map(type, d)
-        checks["d0_formula"] = d[0] == n - 1
-        checks["d1_formula"] = d[1] == 2 * n * (n - 1) - 2 * p3 - 4
-        checks["ratio_bound"] = sequences.ratio_bound_check(d, diam)
-        bounds = sequences.bound_set(n, p3, diam)
-        checks["theorem_bounds"] = (
-            bounds.thm_lo <= peak.first and peak.last <= bounds.thm_hi <= sequences.theorem_cap(n)
-        )
-        checks["conjecture_bounds"] = bounds.conj_lo <= peak.first and peak.last <= bounds.conj_hi
-    else:
-        for name in TREE_CHECKS:
-            checks[name] = None
 
-    failed = tuple([name for name in CHECK_NAMES if checks[name] is False]) if tree else ()
+def _report(tree_id: int | None, tree: bool, diam: int, p3: int, poly, checked) -> TreeReport:
+    """The report of what _checks returned for the graph; runs no check."""
+    delta, d, peak, bounds, outcomes = checked
+    checks = dict(zip(CHECK_NAMES, outcomes))
     return TreeReport(
-        n=n,
+        n=poly.n,
         tree_id=tree_id,
         is_tree=tree,
         diameter=diam,
@@ -210,7 +201,7 @@ def _report(
         peak=peak,
         bounds=bounds,
         checks=checks,
-        failed=failed,
+        failed=tuple([name for name in CHECK_NAMES if checks[name] is False]) if tree else (),
     )
 
 
@@ -282,32 +273,30 @@ _CHUNK_SIZE = 256
 
 
 def _sweep(n: int, want_per_tree: bool, rank: int = 0, jobs: int = 1):
-    """Tree counts per (peak, bounds) pair, violations and (if asked)
-    per-tree reports of chunks rank, rank + jobs, rank + 2*jobs, ... of
-    the order-n tree stream."""
+    """Tree counts per (peak, bounds) pair and the report items of the
+    trees that fail a check (of every tree, if asked) of chunks rank,
+    rank + jobs, rank + 2*jobs, ... of the order-n tree stream."""
     fold = polynomials.level_fold(n)
     traces = polynomials.trace_fold(n)
     trees = enumerate(treegen.tree_stream(n))
     chunks = iter(lambda: list(islice(trees, _CHUNK_SIZE)), [])
     for chunk in islice(chunks, rank, None, jobs):
         shapes: Counter = Counter()
-        violations: list[dict] = []
-        per_tree: list[dict] = []
+        items: list[dict] = []
         for tree_id, (seq, parent) in chunk:
-            report = _tree_report(parent, fold(seq), traces(seq), tree_id)
-            shapes[report.peak, report.bounds] += 1
-            if report.failed or want_per_tree:
-                item = tree_report_to_json(report)
-                if report.failed:
-                    violations.append(item)
-                if want_per_tree:
-                    per_tree.append(item)
-        yield shapes, violations, per_tree
+            poly = fold(seq)
+            tr2, tr3, diam = traces(seq)
+            p3 = _p3_count(parent)
+            checked = _checks(True, diam, p3, poly, tr2, tr3)
+            shapes[checked[2], checked[3]] += 1  # (peak, bounds)
+            if want_per_tree or False in checked[4]:
+                items.append(tree_report_to_json(_report(tree_id, True, diam, p3, poly, checked)))
+        yield shapes, items
 
 
 def _worker(writer, readers, n_max: int, want_per_tree: bool, rank: int, jobs: int) -> None:
-    """Pool worker `rank`: sends its chunks of every order 3..n_max down its
-    pipe, in stream order, and None at the end of each order."""
+    """Pool worker `rank`: sends down its pipe its chunks of every order
+    3..n_max in stream order, None after each order, and what it raises."""
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is left to the main process
@@ -316,23 +305,32 @@ def _worker(writer, readers, n_max: int, want_per_tree: bool, rank: int, jobs: i
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     for reader in readers:
         reader.close()  # inherited by fork; a held read end would keep a pipe open
-    for n in range(3, n_max + 1):
-        for result in _sweep(n, want_per_tree, rank, jobs):
-            writer.send(result)
-        writer.send(None)
+    try:
+        for n in range(3, n_max + 1):
+            for result in _sweep(n, want_per_tree, rank, jobs):
+                writer.send(result)
+            writer.send(None)
+    except Exception as exc:  # raised in the main process, as it is at one job
+        writer.send(exc)
 
 
 def _received(readers):
-    """One order's chunk results, chunk c read from worker c mod jobs. A
-    worker that dies, even in the middle of a message, raises EOFError."""
+    """One order's chunk results, chunk c read from worker c mod jobs, up
+    to every worker's end of the order. A worker that dies, even in the
+    middle of a message, raises EOFError; an exception it sent is raised."""
     turn = cycle(readers)
-    try:
-        while (result := next(turn).recv()) is not None:
-            yield result
-        for reader in islice(turn, len(readers) - 1):
-            reader.recv()  # every other worker's end of the order
-    except OSError as exc:  # "got end of file during message"
-        raise EOFError(exc) from exc
+    ends = 0
+    while ends < len(readers):
+        try:
+            message = next(turn).recv()
+        except OSError as exc:  # "got end of file during message"
+            raise EOFError(exc) from exc
+        if isinstance(message, Exception):
+            raise message
+        if message is None:
+            ends += 1
+        else:
+            yield message
 
 
 def check_sweep_args(n_max: int, jobs: int) -> None:
@@ -353,10 +351,11 @@ def verify_range(
     The aggregate content is identical for any `jobs` value: chunk results
     are merged by Counter addition and consumed in enumeration order.
     With jobs > 1, each of `jobs` worker processes walks the whole
-    tree stream and analyzes every jobs-th chunk, sending results down its
-    own one-way pipe; nothing is sent to a worker. A per-order count
-    mismatch against the independent counting recurrence is an internal
-    error and raises immediately. Running out of memory, an interrupt or a
+    tree stream and analyzes every jobs-th chunk, sending the results, or
+    the exception that stopped it, down its own one-way pipe; nothing is
+    sent to a worker, and the main process raises that exception as one
+    job would. A per-order count mismatch against the independent counting
+    recurrence is an internal error and raises immediately. Running out of memory, an interrupt or a
     worker that dies (its pipe ends) raises SweepInterrupted. The workers
     are killed on the way out, while the main thread ignores Ctrl-C; a
     worker whose main process is gone ends at its next send.
@@ -385,13 +384,13 @@ def verify_range(
                 writer.close()  # the worker holds the only write end, so its death ends the pipe
         for n in range(3, n_max + 1):
             stats = OrderStats(expected=treegen.tree_count_recurrence(n))
-            for shapes, part_violations, items in (
-                _received(readers) if readers else _sweep(n, want_per_tree)
-            ):
+            for shapes, items in _received(readers) if readers else _sweep(n, want_per_tree):
                 stats.shapes.update(shapes)
-                violations.extend(part_violations)
                 for item in items:
-                    per_tree_sink(item)
+                    if item["failed"]:
+                        violations.append(item)
+                    if want_per_tree:
+                        per_tree_sink(item)
             if stats.trees != stats.expected:
                 raise RuntimeError(
                     f"enumeration mismatch at order {n}: generated {stats.trees} "

@@ -105,7 +105,7 @@ class TestAnalyzeTree:
 
 
 class TestTreeChecks:
-    """_report on a tree's polynomial with one coefficient altered."""
+    """_checks and _report on a tree's polynomial with one coefficient altered."""
 
     PARENT = (-1, 0, 1, 1, 3, 4)
 
@@ -116,7 +116,8 @@ class TestTreeChecks:
         tr2, tr3, diam = polynomials.tree_traces(self.PARENT)
         p3 = analysis.analyze_tree(self.PARENT).p3_count
         altered = polynomials.CharPoly(poly.n, tuple(coeffs))
-        return analysis._report(None, True, diam, p3, altered, tr2, tr3)
+        checked = analysis._checks(True, diam, p3, altered, tr2, tr3)
+        return analysis._report(None, True, diam, p3, altered, checked)
 
     def test_unaltered_polynomial_passes(self):
         assert self.report_with(2, lambda c: c).failed == ()
@@ -134,6 +135,119 @@ class TestTreeChecks:
         assert report.checks["sign_pattern"] is False
         assert report.checks["divisibility"] is True
         assert "sign_pattern" in report.failed
+
+
+def patch_fold(monkeypatch, name, alter):
+    """Patch the fold factory polynomials.<name> so that each result r of
+    a tree whose level sum is odd, about half the trees, becomes alter(r, n)."""
+    real = getattr(polynomials, name)
+
+    def factory(n):
+        fold = real(n)
+
+        def faulty(seq):
+            result = fold(seq)
+            return alter(result, n) if sum(seq) % 2 else result
+
+        return faulty
+
+    monkeypatch.setattr(polynomials, name, factory)
+
+
+def coefficient_fault(k, change):
+    """A level_fold fault: c_k becomes change(c_k, n)."""
+
+    def fault(monkeypatch):
+        def alter(poly, n):
+            coeffs = list(poly.coeffs)
+            coeffs[k] = change(coeffs[k], n)
+            return polynomials.CharPoly(n, tuple(coeffs))
+
+        patch_fold(monkeypatch, "level_fold", alter)
+
+    return fault
+
+
+def predicate_fault(name):
+    """sequences.<name> fails where its first argument has an odd sum."""
+
+    def fault(monkeypatch):
+        real = getattr(sequences, name)
+        monkeypatch.setattr(
+            sequences, name, lambda seq, *args: real(seq, *args) and sum(seq) % 2 == 0
+        )
+
+    return fault
+
+
+def bound_fault(field):
+    """bound_set puts `field` at n, past every peak, for trees of odd diameter."""
+
+    def fault(monkeypatch):
+        real = sequences.bound_set
+
+        def bound_set(n, p3, diam):
+            bounds = real(n, p3, diam)
+            return bounds._replace(**{field: n}) if diam % 2 else bounds
+
+        monkeypatch.setattr(sequences, "bound_set", bound_set)
+
+    return fault
+
+
+# for each check, a fault that fails that check alone, on some trees of
+# orders 3..8; d_{n-3} and d_{n-2} enter the trace identities, so the
+# faults of d_1 and d_2 start at the orders where those are not among them
+FAULTS = {
+    "trace_identities": lambda monkeypatch: patch_fold(
+        monkeypatch, "trace_fold", lambda traces, n: (traces[0], traces[1] + 1, traces[2])
+    ),
+    "log_concave": predicate_fault("is_log_concave"),
+    "unimodal": predicate_fault("is_unimodal"),
+    "newton": predicate_fault("newton_check"),
+    "sign_pattern": coefficient_fault(0, lambda c, n: abs(c)),
+    "divisibility": coefficient_fault(2, lambda c, n: c - (n >= 6)),  # delta_2 odd
+    "d0_formula": coefficient_fault(0, lambda c, n: c + (1 << (n - 2))),  # d_0 one less
+    "d1_formula": coefficient_fault(1, lambda c, n: c + ((n >= 5) << (n - 3))),  # d_1 one less
+    "ratio_bound": predicate_fault("ratio_bound_check"),
+    "theorem_bounds": bound_fault("thm_lo"),
+    "conjecture_bounds": bound_fault("conj_lo"),
+}
+
+
+class TestLazyReports:
+    """The sweep builds a report only for a tree that fails a check, or
+    for every tree with a per-tree sink; these pin what that must keep."""
+
+    @pytest.mark.parametrize("name", analysis.CHECK_NAMES)
+    def test_each_check_reaches_failed(self, monkeypatch, name):
+        FAULTS[name](monkeypatch)
+        expected = []
+        for n in range(3, 9):
+            for tree_id, (_, parent) in enumerate(treegen.tree_stream(n)):
+                report = analysis.analyze_tree(parent, tree_id)
+                assert report.failed in ((), (name,)), (n, tree_id)
+                if report.failed:
+                    expected.append(analysis.tree_report_to_json(report))
+        assert 0 < len(expected) < 46  # the trees of orders 3..8
+        for jobs in (1, 2):
+            assert analysis.verify_range(8, jobs=jobs).violations == expected, jobs
+
+    @pytest.mark.parametrize("per_tree", [False, True])
+    def test_report_keeps_the_outcome_of_its_one_check(self, monkeypatch, per_tree):
+        # is_unimodal fails on its 10th call only, which is tree 3 of order
+        # 6: a report that ran the check a second time would pass the tree
+        real = sequences.is_unimodal
+        calls = iter(range(1, 100))
+        monkeypatch.setattr(sequences, "is_unimodal", lambda seq: real(seq) and next(calls) != 10)
+        items = []
+        report = analysis.verify_range(6, per_tree_sink=items.append if per_tree else None)
+        assert report.total_violations == 1
+        [item] = report.violations
+        assert (item["n"], item["id"]) == (6, 3)
+        assert item["failed"] == ["unimodal"]
+        assert item["checks"]["unimodal"] is False
+        assert [i for i in items if i["failed"]] == ([item] if per_tree else [])
 
 
 class TestRoundTrip:

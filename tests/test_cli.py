@@ -281,7 +281,8 @@ class TestVerifyCommand:
         assert err.startswith("error: enumeration mismatch at order 5:")
         assert "Traceback" not in err
 
-    def test_kernel_internal_error_exits_2(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_kernel_internal_error_exits_2(self, capsys, monkeypatch, jobs):
         from distpoly import analysis
 
         message = "internal error: tree kernel numerator is not 4 times a polynomial"
@@ -293,7 +294,7 @@ class TestVerifyCommand:
             return fold
 
         monkeypatch.setattr(analysis.polynomials, "level_fold", broken_fold)
-        code, out, err = run_cli(capsys, "verify", "--max-order", "5", "--per-tree")
+        code, out, err = run_cli(capsys, "verify", "--max-order", "5", "--per-tree", "--jobs", jobs)
         assert code == 2
         assert out == ""
         assert err == f"error: {message}\n"
