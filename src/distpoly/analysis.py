@@ -12,7 +12,8 @@ orders 3..n_max, with the polynomial and the traces each folded from
 the stream's level sequences (polynomials.level_fold and trace_fold),
 and counts the trees per (peak, bounds) pair. Those counts are the whole
 aggregate, merged by Counter addition, so its content is independent of
-the worker count. It builds a report only for a tree that fails a
+the worker count; aggregate_report_to_json derives every number it writes
+from them. It builds a report only for a tree that fails a
 check, or for every tree when per-tree reports are asked for.
 
 JSON conventions: coefficient-sized integers are serialized as decimal
@@ -26,7 +27,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle, islice
 from operator import mul
@@ -50,16 +51,13 @@ CHECK_NAMES = COMMON_CHECKS + TREE_CHECKS
 
 
 class SweepInterrupted(RuntimeError):
-    """Sweep aborted early; carries the orders that did complete."""
-
-    def __init__(self, message: str, completed_orders: list[int]):
-        super().__init__(message)
-        self.completed_orders = completed_orders
+    """Sweep aborted early; the message names the orders that did complete."""
 
 
 @dataclass(frozen=True)
 class TreeReport:
-    """Full analysis of one graph; tree_id is its enumeration index."""
+    """Full analysis of one graph; tree_id is its index in a sweep's
+    tree stream, None outside a sweep."""
 
     n: int
     tree_id: int | None
@@ -76,34 +74,19 @@ class TreeReport:
 
 
 @dataclass
-class OrderStats:
-    """Per-order slice of an aggregate report: the count of trees per
-    (peak, bounds) pair, merged over the chunks by Counter addition, from
-    which aggregate_report_to_json derives every other per-order number."""
-
-    expected: int = 0
-    shapes: Counter = field(default_factory=Counter)  # (PeakInterval, BoundSet) -> trees
-
-    @property
-    def trees(self) -> int:
-        return sum(self.shapes.values())
-
-
-@dataclass
 class AggregateReport:
-    """Sweep summary; `jobs` and `duration_seconds` are run metadata and
-    excluded from the determinism contract."""
+    """Sweep result: for each order, the count of trees per (peak, bounds)
+    pair, merged over the chunks by Counter addition, and the reports of
+    the trees that failed a check. `jobs` and `duration_seconds` are run
+    metadata and excluded from the determinism contract."""
 
-    max_order: int
-    orders: dict[int, OrderStats]
-    total_trees: int
-    total_violations: int
+    orders: dict[int, Counter]  # n -> (PeakInterval, BoundSet) -> trees
     violations: list[dict]
     jobs: int
     duration_seconds: float
 
 
-def analyze_tree(parent, tree_id: int | None = None) -> TreeReport:
+def analyze_tree(parent) -> TreeReport:
     """Run the full pipeline on a tree given as a preorder parent array.
 
     The array takes the form of the parent arrays that
@@ -117,10 +100,10 @@ def analyze_tree(parent, tree_id: int | None = None) -> TreeReport:
     poly = polynomials.level_fold(n)(levels)
     tr2, tr3, diam = polynomials.trace_fold(n)(levels)
     p3 = _p3_count(parent)
-    return _report(tree_id, True, diam, p3, poly, _checks(True, diam, p3, poly, tr2, tr3))
+    return _report(None, True, diam, p3, poly, _checks(True, diam, p3, poly, tr2, tr3))
 
 
-def analyze_graph(g: graphs.Graph, tree_id: int | None = None) -> TreeReport:
+def analyze_graph(g: graphs.Graph) -> TreeReport:
     """Run the full pipeline on a connected graph of order >= 3.
 
     One depth-first walk both tests for a tree and relabels it into a
@@ -137,12 +120,12 @@ def analyze_graph(g: graphs.Graph, tree_id: int | None = None) -> TreeReport:
     except ValueError:
         pass  # not a tree
     else:
-        return analyze_tree(parent, tree_id)
+        return analyze_tree(parent)
     dm = graphs.distance_matrix(g)  # raises DisconnectedGraphError
     poly = polynomials.charpoly(dm)
     tr2, tr3 = polynomials.trace_power(dm)
     diam, p3 = max(map(max, dm)), graphs.count_p3(g)
-    return _report(tree_id, False, diam, p3, poly, _checks(False, diam, p3, poly, tr2, tr3))
+    return _report(None, False, diam, p3, poly, _checks(False, diam, p3, poly, tr2, tr3))
 
 
 def _p3_count(parent) -> int:
@@ -230,21 +213,21 @@ def tree_report_to_json(report: TreeReport) -> dict:
 _SLACKS = ("conj_hi", "conj_lo", "thm_hi", "thm_lo")
 
 
-def _order_to_json(stats: OrderStats) -> dict:
-    """An order's numbers, each read off its count of trees per (peak,
-    bounds) pair. A bound's slack is first - lo for a lower bound and
-    hi - last for an upper bound."""
+def _order_to_json(n: int, shapes: Counter) -> dict:
+    """Order n's numbers, each read off its count of trees per (peak,
+    bounds) pair, and the independent count of its trees. A bound's slack
+    is first - lo for a lower bound and hi - last for an upper bound."""
     firsts: Counter = Counter()
     plateaus = 0
     slacks = []
-    for ((first, last), b), count in stats.shapes.items():
+    for ((first, last), b), count in shapes.items():
         firsts[first] += count
         plateaus += count * (first != last)
         slacks.append((b.conj_hi - last, first - b.conj_lo, b.thm_hi - last, first - b.thm_lo))
     columns = list(zip(*slacks))
     return {
-        "trees": stats.trees,
-        "expected": stats.expected,
+        "trees": shapes.total(),
+        "expected": treegen.tree_count_recurrence(n),
         "peak_first_histogram": {str(k): firsts[k] for k in sorted(firsts)},
         "plateaus": plateaus,
         "slack_min": dict(zip(_SLACKS, map(min, columns))),
@@ -253,13 +236,14 @@ def _order_to_json(stats: OrderStats) -> dict:
 
 
 def aggregate_report_to_json(report: AggregateReport) -> dict:
-    orders = {str(n): _order_to_json(report.orders[n]) for n in sorted(report.orders)}
+    """The one place that derives the aggregate's numbers from its Counters."""
+    orders = {str(n): _order_to_json(n, report.orders[n]) for n in sorted(report.orders)}
     return {
         "type": "aggregate_report",
-        "max_order": report.max_order,
+        "max_order": max(report.orders),
         "orders": orders,
-        "total_trees": report.total_trees,
-        "total_violations": report.total_violations,
+        "total_trees": sum(order["trees"] for order in orders.values()),
+        "total_violations": len(report.violations),
         "plateau_anomalies": sum(order["plateaus"] for order in orders.values()),
         "violations": list(report.violations),
         "run": {"jobs": report.jobs, "duration_seconds": report.duration_seconds},
@@ -362,7 +346,7 @@ def verify_range(
     """
     check_sweep_args(n_max, jobs)
     started = time.perf_counter()
-    orders: dict[int, OrderStats] = {}
+    orders: dict[int, Counter] = {}
     violations: list[dict] = []
     want_per_tree = per_tree_sink is not None
     readers: list = []
@@ -383,25 +367,25 @@ def verify_range(
                 workers.append(worker)
                 writer.close()  # the worker holds the only write end, so its death ends the pipe
         for n in range(3, n_max + 1):
-            stats = OrderStats(expected=treegen.tree_count_recurrence(n))
-            for shapes, items in _received(readers) if readers else _sweep(n, want_per_tree):
-                stats.shapes.update(shapes)
+            shapes: Counter = Counter()
+            for chunk, items in _received(readers) if readers else _sweep(n, want_per_tree):
+                shapes.update(chunk)
                 for item in items:
                     if item["failed"]:
                         violations.append(item)
                     if want_per_tree:
                         per_tree_sink(item)
-            if stats.trees != stats.expected:
+            expected = treegen.tree_count_recurrence(n)
+            if shapes.total() != expected:
                 raise RuntimeError(
-                    f"enumeration mismatch at order {n}: generated {stats.trees} "
-                    f"trees but the counting recurrence gives {stats.expected}"
+                    f"enumeration mismatch at order {n}: generated {shapes.total()} "
+                    f"trees but the counting recurrence gives {expected}"
                 )
-            orders[n] = stats
+            orders[n] = shapes
     except (MemoryError, KeyboardInterrupt, EOFError) as exc:
-        done = sum(s.trees for s in orders.values())
+        done = sum(map(Counter.total, orders.values()))
         raise SweepInterrupted(
-            f"sweep aborted after {done} trees; orders {sorted(orders)} completed",
-            sorted(orders),
+            f"sweep aborted after {done} trees; orders {sorted(orders)} completed"
         ) from exc
     finally:
         if workers:
@@ -417,10 +401,7 @@ def verify_range(
                 if on_main:
                     signal.signal(signal.SIGINT, previous)
     return AggregateReport(
-        max_order=n_max,
         orders=orders,
-        total_trees=sum(s.trees for s in orders.values()),
-        total_violations=len(violations),
         violations=violations,
         jobs=jobs,
         duration_seconds=time.perf_counter() - started,

@@ -93,7 +93,7 @@ def _cmd_verify(args) -> int:
             print(json.dumps(payload, separators=(",", ":")))
         else:
             print(json.dumps(payload, indent=2))
-    return 1 if report.total_violations else 0
+    return 1 if report.violations else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import random
 import signal
 import subprocess
@@ -97,9 +98,8 @@ class TestAnalyzeTree:
         with pytest.raises(ValueError, match=r"parent\[3\] = 1 is not on the root path"):
             analysis.analyze_tree((-1, 0, 0, 1))
 
-    def test_tree_id_carried(self):
-        report = analysis.analyze_tree((-1, 0, 1, 1), tree_id=5)
-        assert report.tree_id == 5
+    def test_p3_count_and_diameter(self):
+        report = analysis.analyze_tree((-1, 0, 1, 1))  # the star on 4 vertices, centre 1
         assert report.p3_count == 3
         assert report.diameter == 2
 
@@ -225,10 +225,10 @@ class TestLazyReports:
         expected = []
         for n in range(3, 9):
             for tree_id, (_, parent) in enumerate(treegen.tree_stream(n)):
-                report = analysis.analyze_tree(parent, tree_id)
+                report = analysis.analyze_tree(parent)
                 assert report.failed in ((), (name,)), (n, tree_id)
                 if report.failed:
-                    expected.append(analysis.tree_report_to_json(report))
+                    expected.append({**analysis.tree_report_to_json(report), "id": tree_id})
         assert 0 < len(expected) < 46  # the trees of orders 3..8
         for jobs in (1, 2):
             assert analysis.verify_range(8, jobs=jobs).violations == expected, jobs
@@ -242,7 +242,6 @@ class TestLazyReports:
         monkeypatch.setattr(sequences, "is_unimodal", lambda seq: real(seq) and next(calls) != 10)
         items = []
         report = analysis.verify_range(6, per_tree_sink=items.append if per_tree else None)
-        assert report.total_violations == 1
         [item] = report.violations
         assert (item["n"], item["id"]) == (6, 3)
         assert item["failed"] == ["unimodal"]
@@ -264,18 +263,28 @@ class TestRoundTrip:
         assert json.loads(json.dumps(data)) == data
 
 
+def total_trees(report: analysis.AggregateReport) -> int:
+    return sum(shapes.total() for shapes in report.orders.values())
+
+
 class TestVerifyRange:
     def test_counts_through_8(self):
         report = analysis.verify_range(8)
-        assert report.total_trees == 1 + 2 + 3 + 6 + 11 + 23
-        assert report.total_violations == 0
-        for n, stats in report.orders.items():
-            assert stats.trees == stats.expected == treegen.tree_count_recurrence(n)
+        data = analysis.aggregate_report_to_json(report)
+        assert total_trees(report) == data["total_trees"] == 1 + 2 + 3 + 6 + 11 + 23
+        assert report.violations == []
+        assert data["total_violations"] == 0
+        assert list(report.orders) == list(range(3, 9))
+        for n, shapes in report.orders.items():
+            order = data["orders"][str(n)]
+            assert shapes.total() == order["trees"] == order["expected"]
+            assert order["expected"] == treegen.tree_count_recurrence(n)
 
     def test_total_through_10(self):
         # orders 3..10 only; orders 1 and 2 are below the analysis floor
         report = analysis.verify_range(10)
-        assert report.total_trees == 199
+        assert total_trees(report) == 199
+        assert analysis.aggregate_report_to_json(report)["max_order"] == 10
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
@@ -305,15 +314,33 @@ class TestVerifyRange:
         monkeypatch.setattr(analysis, "_CHUNK_SIZE", chunk)
         assert aggregate(jobs=jobs) == default
 
+    def test_counters_merged_out_of_order_give_the_aggregate(self, monkeypatch):
+        # each order's Counter is its whole aggregate state: the chunk
+        # Counters of three workers, added last worker first and highest
+        # order first, must write the aggregate of one sweep
+        expected = analysis.aggregate_report_to_json(analysis.verify_range(10))
+        monkeypatch.setattr(analysis, "_CHUNK_SIZE", 7)
+        orders = {}
+        for n in range(10, 2, -1):
+            orders[n] = Counter()
+            for rank in (2, 1, 0):
+                for shapes, items in analysis._sweep(n, False, rank, 3):
+                    orders[n].update(shapes)
+                    assert items == []
+        report = analysis.AggregateReport(orders, [], jobs=3, duration_seconds=0.0)
+        data = analysis.aggregate_report_to_json(report)
+        del data["run"], expected["run"]
+        assert json.dumps(data) == json.dumps(expected)  # as text, so key order counts too
+
     def test_per_tree_sink_streams_everything(self):
         collected = []
         report = analysis.verify_range(6, per_tree_sink=collected.append)
-        assert len(collected) == report.total_trees
+        assert len(collected) == total_trees(report)
         ids_by_order = {}
         for item in collected:
             ids_by_order.setdefault(item["n"], []).append(item["id"])
         for n, ids in ids_by_order.items():
-            assert ids == list(range(report.orders[n].trees))
+            assert ids == list(range(report.orders[n].total()))
 
     def test_per_tree_sink_parallel_same_stream(self, monkeypatch):
         serial = []
@@ -335,7 +362,7 @@ class TestVerifyRange:
             lambda seq: False,
         )
         report = analysis.verify_range(4)
-        assert report.total_violations == report.total_trees == 3
+        assert len(report.violations) == total_trees(report) == 3
         assert all(item["failed"] == ["unimodal"] for item in report.violations)
         assert all(item["checks"]["unimodal"] is False for item in report.violations)
 
@@ -355,7 +382,7 @@ class TestVerifyRange:
 
         monkeypatch.setattr(analysis.polynomials, "trace_fold", off_by_one)
         report = analysis.verify_range(6)
-        assert report.total_violations == report.total_trees == 12
+        assert len(report.violations) == total_trees(report) == 12
         assert all(item["failed"] == ["trace_identities"] for item in report.violations)
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -382,7 +409,13 @@ class TestVerifyRange:
         monkeypatch.setattr(analysis.treegen, "tree_stream", exploding)
         with pytest.raises(analysis.SweepInterrupted) as err:
             analysis.verify_range(6)
-        assert err.value.completed_orders == [3, 4]
+        assert "orders [3, 4] completed" in str(err.value)
+
+    def test_interruption_pickles(self):
+        # an exception that cannot be unpickled breaks any pipe or pool it crosses
+        err = pickle.loads(pickle.dumps(analysis.SweepInterrupted("m", [3])))
+        assert type(err) is analysis.SweepInterrupted
+        assert err.args == ("m", [3])
 
     def test_dead_worker_interrupts_instead_of_hanging(self):
         code, out, err = run_child(

@@ -299,7 +299,9 @@ class TestVerifyCommand:
         assert out == ""
         assert err == f"error: {message}\n"
 
-    def test_interrupted_sweep_exits_2(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_interrupted_sweep_exits_2(self, capsys, monkeypatch, jobs):
+        # at --jobs 2 each worker sends its MemoryError down its pipe
         from distpoly import analysis
 
         real = treegen.tree_stream
@@ -310,7 +312,7 @@ class TestVerifyCommand:
             return real(n)
 
         monkeypatch.setattr(analysis.treegen, "tree_stream", exploding)
-        code, out, err = run_cli(capsys, "verify", "--max-order", "6")
+        code, out, err = run_cli(capsys, "verify", "--max-order", "6", "--jobs", jobs)
         assert code == 2
         assert out == ""
         assert err.startswith("error: sweep aborted after 3 trees; orders [3, 4] completed")
