@@ -56,11 +56,9 @@ class SweepInterrupted(RuntimeError):
 
 @dataclass(frozen=True)
 class TreeReport:
-    """Full analysis of one graph; tree_id is its index in a sweep's
-    tree stream, None outside a sweep."""
+    """Full analysis of one graph."""
 
     n: int
-    tree_id: int | None
     is_tree: bool
     diameter: int
     p3_count: int
@@ -100,7 +98,7 @@ def analyze_tree(parent) -> TreeReport:
     poly = polynomials.level_fold(n)(levels)
     tr2, tr3, diam = polynomials.trace_fold(n)(levels)
     p3 = _p3_count(parent)
-    return _report(None, True, diam, p3, poly, _checks(True, diam, p3, poly, tr2, tr3))
+    return _report(diam, p3, poly, _checks(True, diam, p3, poly, tr2, tr3))
 
 
 def analyze_graph(g: graphs.Graph) -> TreeReport:
@@ -125,7 +123,7 @@ def analyze_graph(g: graphs.Graph) -> TreeReport:
     poly = polynomials.charpoly(dm)
     tr2, tr3 = polynomials.trace_power(dm)
     diam, p3 = max(map(max, dm)), graphs.count_p3(g)
-    return _report(None, False, diam, p3, poly, _checks(False, diam, p3, poly, tr2, tr3))
+    return _report(diam, p3, poly, _checks(False, diam, p3, poly, tr2, tr3))
 
 
 def _p3_count(parent) -> int:
@@ -168,13 +166,14 @@ def _checks(tree: bool, diam: int, p3: int, poly: polynomials.CharPoly, tr2: int
     )
 
 
-def _report(tree_id: int | None, tree: bool, diam: int, p3: int, poly, checked) -> TreeReport:
-    """The report of what _checks returned for the graph; runs no check."""
+def _report(diam: int, p3: int, poly, checked) -> TreeReport:
+    """The report of what _checks returned for the graph, a tree when it
+    gave bounds; runs no check."""
     delta, d, peak, bounds, outcomes = checked
     checks = dict(zip(CHECK_NAMES, outcomes))
+    tree = bounds is not None
     return TreeReport(
         n=poly.n,
-        tree_id=tree_id,
         is_tree=tree,
         diameter=diam,
         p3_count=p3,
@@ -196,7 +195,7 @@ def tree_report_to_json(report: TreeReport) -> dict:
     return {
         "type": "tree_report",
         "n": report.n,
-        "id": report.tree_id,
+        "id": None,  # a sweep sets the tree's index in its stream
         "is_tree": report.is_tree,
         "diameter": report.diameter,
         "p3_count": report.p3_count,
@@ -274,7 +273,8 @@ def _sweep(n: int, want_per_tree: bool, rank: int = 0, jobs: int = 1):
             checked = _checks(True, diam, p3, poly, tr2, tr3)
             shapes[checked[2], checked[3]] += 1  # (peak, bounds)
             if want_per_tree or False in checked[4]:
-                items.append(tree_report_to_json(_report(tree_id, True, diam, p3, poly, checked)))
+                item = tree_report_to_json(_report(diam, p3, poly, checked))
+                items.append({**item, "id": tree_id})
         yield shapes, items
 
 

@@ -74,17 +74,10 @@ def charpoly(matrix) -> CharPoly:
             for _ in range(size // 2):
                 krylov.append([sum(map(mul, brow, krylov[-1])) for brow in block])
             toeplitz += [-sum(map(mul, krylov[j // 2], krylov[j - j // 2])) for j in range(size)]
-        # multiply the previous coefficient vector by the Toeplitz column:
-        # entry i is sum over j of toeplitz[i - j] * coeffs[j]
-        width = len(toeplitz)
-        length = len(coeffs)
+        # multiply the previous coefficient vector by the Toeplitz column, one
+        # entry longer: entry i is sum over j of toeplitz[i - j] * coeffs[j]
         rev = toeplitz[::-1]
-        product = []
-        for i in range(length + 1):
-            lo = max(0, i - width + 1)
-            hi = min(i, length - 1)
-            product.append(sum(map(mul, rev[width - 1 - i + lo:], coeffs[lo:hi + 1])))
-        coeffs = product
+        coeffs = [sum(map(mul, rev[-1 - i:], coeffs)) for i in range(len(coeffs) + 1)]
     coeffs.reverse()
     return CharPoly(n, tuple(coeffs))
 

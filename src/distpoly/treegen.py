@@ -13,19 +13,25 @@ center-rooted path, keeping each candidate whose first root subtree is no
 greater than the rest in (height, size, sequence). If that subtree
 reaches depth top, as its first top vertices do, and has k vertices, the
 rest is at most n - 1 - k high: lower for k > n - top, and for k = n - top
-at most as high and smaller unless 2 * top = n. So a rejected subtree
-longer than cap = n - 1 - top (top if 2 * top = n) is cut back to its
-first cap vertices, followed by the root's second child; any other is
-skipped whole at its last vertex. Rejected candidates per tree: 0.35 at
-order 8, the most over orders 3..18, 0.12 at 15, 0.066 at 18 (3.7 at 15
-without the cut).
+at most as high and smaller unless 2 * top = n. So no subtree longer than
+cap = n - 1 - top (top if 2 * top = n) passes.
 
-Each step to a successor keeps every position before the one it lowers,
-so the stream also knows where each sequence first differs from the one
-before it, and tree_stream, the one generator, rebuilds each parent
-array from that position only. Its parent arrays are preorders, the one
-tree form of the kernels in polynomials; preorder_parents relabels any
-tree Graph into one.
+tree_stream, the one generator, is one loop over candidates. Each pass
+takes one of three branches, and each branch picks a position p for
+_successor_at to lower, keeping every position before p:
+- the cut: a first root subtree longer than cap is cut back to its first
+  cap vertices, followed by the root's second child;
+- the skip: any other rejected subtree is skipped whole at its last
+  vertex;
+- the rooted step: a kept candidate is yielded, and the last vertex at
+  depth 2 or more is lowered, the step of Beyer and Hedetniemi (SIAM J.
+  Comput. 9 (1980) 706-712); the star, which has none, is last.
+first, the least p since the last yielded tree, is where the next tree
+first differs from it, and its parent array is rebuilt from there only.
+Rejected candidates per tree: 0.35 at order 8, the most over orders
+3..18, 0.12 at 15, 0.066 at 18 (3.7 at 15 without the cut). The parent
+arrays are preorders, the one tree form of the kernels in polynomials;
+preorder_parents relabels any tree Graph into one.
 """
 
 from __future__ import annotations
@@ -46,12 +52,6 @@ class CanonicalTree:
     parent: tuple[int, ...]  # a preorder: parent[0] == ROOT, parent[i] on the root path of i - 1
 
 
-def _start_sequence(n: int) -> list[int]:
-    # the path rooted at its center: the lex-largest canonical sequence
-    height = n // 2
-    return list(range(height + 1)) + list(range(1, n - height))
-
-
 def _successor_at(seq: list[int], p: int, q: int | None = None) -> list[int]:
     # lex-next canonical rooted sequence that lowers position p to the depth
     # of q, the last position before p at that depth (by default the parent
@@ -62,26 +62,6 @@ def _successor_at(seq: list[int], p: int, q: int | None = None) -> list[int]:
             q -= 1
     n = len(seq)
     return seq[:q] + (seq[q:p] * ((n - q) // (p - q) + 1))[: n - q]
-
-
-def _rooted_successor(seq: list[int]) -> tuple[int, list[int]] | None:
-    # (first changed position, lex-next canonical rooted sequence)
-    p = len(seq) - 1
-    while p > 0 and seq[p] < 2:
-        p -= 1
-    if p == 0:
-        return None  # the star has no successor
-    return p, _successor_at(seq, p)
-
-
-def _skip(seq: list[int], m: int, cap: int) -> tuple[int, list[int]]:
-    # (first changed position, next candidate) after rejecting seq, whose
-    # first root subtree is seq[1:m] and could pass with at most cap
-    # vertices (see above)
-    if m - 1 > cap:
-        return cap + 1, _successor_at(seq, cap + 1, 1)
-    # skip the whole subtree at its last vertex, at depth >= 2
-    return m - 1, _successor_at(seq, m - 1)
 
 
 def tree_stream(n: int) -> Iterator[tuple[list[int], tuple[int, ...]]]:
@@ -95,38 +75,43 @@ def tree_stream(n: int) -> Iterator[tuple[list[int], tuple[int, ...]]]:
     """
     if n < 1:
         raise ValueError("tree order must be at least 1")
-    seq = _start_sequence(n)
+    height = n // 2
+    seq = list(range(height + 1)) + list(range(1, n - height))  # the center-rooted path
     parent = [ROOT] * n
     first = 1  # the root is always at 0, so the first tree counts as new from 1
     while True:
-        for i in range(first, n):
-            d = seq[i]
-            u = i - 1
-            while seq[u] >= d:
-                u = parent[u]
-            parent[i] = u
-        yield seq, tuple(parent)
-        # every step keeps the positions before its own and lowers that
-        # one, so over the steps to the next tree, first is the least of them
-        step = _rooted_successor(seq)
-        first = n
-        while step is not None:
-            p, seq = step
-            first = min(first, p)
-            try:
-                m = seq.index(1, 2)  # the root's second child
-            except ValueError:
-                m = n
-            top = max(seq[1:m])
-            cap = max(n - 1 - top, top)
-            if m - 1 <= cap:
-                # (height, size) of the first root subtree and of the rest
-                left, rest = (top - 1, m - 1), (max(seq[m:]), n - m + 1)
-                if left < rest or (left == rest and [d - 1 for d in seq[1:m]] <= [0] + seq[m:]):
-                    break
-            step = _skip(seq, m, cap)
+        try:
+            m = seq.index(1, 2)  # the root's second child
+        except ValueError:
+            m = n
+        top = max(seq[:m])  # 0 for the single vertex
+        cap = max(n - 1 - top, top)
+        if m - 1 > cap:
+            p, q = cap + 1, 1  # cut the subtree back to its first cap vertices
         else:
-            return
+            # (height, size) of the first root subtree and of the rest
+            left, rest = (top - 1, m - 1), (max(seq[m:]) if m < n else 0, n - m + 1)
+            if left > rest or (left == rest and [d - 1 for d in seq[1:m]] > [0] + seq[m:]):
+                p, q = m - 1, None  # skip the whole subtree at its last vertex, at depth >= 2
+            else:
+                for i in range(first, n):
+                    d = seq[i]
+                    u = i - 1
+                    while seq[u] >= d:
+                        u = parent[u]
+                    parent[i] = u
+                yield seq, tuple(parent)
+                # the rooted step lowers the last vertex at depth >= 2
+                p = n - 1
+                while p > 0 and seq[p] < 2:
+                    p -= 1
+                if p == 0:
+                    return  # the star is last
+                first, q = p, None
+        # each step keeps the positions before p and lowers p
+        if p < first:
+            first = p
+        seq = _successor_at(seq, p, q)
 
 
 def enumerate_trees(n: int) -> Iterator[CanonicalTree]:
@@ -175,8 +160,7 @@ def _rooted_counts(limit: int) -> list[int]:
     # r[m] = number of rooted trees on m vertices, via the Euler-transform
     # recurrence m*r(m+1) = sum_{k=1..m} (sum_{d|k} d*r(d)) * r(m+1-k)
     r = [0] * (limit + 1)
-    if limit >= 1:
-        r[1] = 1
+    r[1] = 1
     weighted = [0] * (limit + 1)
     for m in range(1, limit):
         weighted[m] = sum(d * r[d] for d in range(1, m + 1) if m % d == 0)

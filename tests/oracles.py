@@ -6,8 +6,9 @@ AHU encoding, subgraph counts from explicit triple enumeration,
 determinants from Bareiss elimination, characteristic polynomials of
 any square matrix from general Berkowitz (the package's charpoly is its
 symmetric form), free-tree canonicity from the
-spelled-out height, size, order cascade and the free-tree stream from
-plain generate-and-reject, Newton's inequalities from their binomial
+spelled-out height, size, order cascade, the rooted stream from its own
+lowering step and the free-tree stream from plain generate-and-reject,
+Newton's inequalities from their binomial
 form and unimodality by trying every peak; log-concavity, unimodality
 and the peak interval also in the plain index loops they were first
 written as. The one exception is scaled_poly, which rescales the package's
@@ -306,6 +307,20 @@ def _lowered_at(seq: list[int], p: int) -> list[int]:
     for i in range(p, len(seq)):
         out.append(out[i - (p - q)])
     return out
+
+
+def rooted_sequences(n: int):
+    """Every rooted level sequence of order n, in the Beyer-Hedetniemi order
+    from the center-rooted path down to the star."""
+    seq = list(range(n // 2 + 1)) + list(range(1, n - n // 2))
+    while True:
+        yield seq
+        p = n - 1
+        while p > 0 and seq[p] < 2:
+            p -= 1
+        if p == 0:
+            return  # the star is last
+        seq = _lowered_at(seq, p)
 
 
 def _split_at_second_child(seq: list[int]) -> tuple[list[int], list[int]]:

@@ -117,7 +117,7 @@ class TestTreeChecks:
         p3 = analysis.analyze_tree(self.PARENT).p3_count
         altered = polynomials.CharPoly(poly.n, tuple(coeffs))
         checked = analysis._checks(True, diam, p3, altered, tr2, tr3)
-        return analysis._report(None, True, diam, p3, altered, checked)
+        return analysis._report(diam, p3, altered, checked)
 
     def test_unaltered_polynomial_passes(self):
         assert self.report_with(2, lambda c: c).failed == ()

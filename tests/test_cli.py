@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import pytest
@@ -354,6 +355,7 @@ class TestUsage:
             capture_output=True,
             text=True,
             env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+            timeout=60,  # a hang fails the test instead of stalling the suite
         )
         assert (proc.returncode, proc.stderr) == (0, "")
         assert json.loads(proc.stdout)["total_trees"] == 3
@@ -361,17 +363,23 @@ class TestUsage:
     @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="platform has no SIGPIPE")
     def test_closed_stdout_ends_silently(self):
         # order 15 prints more than a pipe buffer holds, so the command is
-        # still writing when the reader goes away
+        # still writing when the reader goes away; a child still running
+        # after 60 s is killed, so that a hang cannot stall the suite
         proc = subprocess.Popen(
             [sys.executable, "-m", "distpoly.cli", "enumerate", "--order", "15", "--emit", "parents"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
         )
-        assert proc.stdout.readline().startswith(b"-1 ")
-        proc.stdout.close()
-        err = proc.stderr.read()
-        proc.stderr.close()
-        assert proc.wait(timeout=60) == -signal.SIGPIPE
+        timer = threading.Timer(60, proc.kill)
+        timer.start()
+        try:
+            assert proc.stdout.readline().startswith(b"-1 ")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            proc.stderr.close()
+            assert proc.wait() == -signal.SIGPIPE
+        finally:
+            timer.cancel()
         assert err == b""
 
 

@@ -54,13 +54,7 @@ class TestStreamProperties:
     def test_stream_is_filtered_rooted_stream(self):
         """The skips drop exactly the non-canonical rooted sequences, in order."""
         for n in range(1, 15):
-            rooted = []
-            seq = treegen._start_sequence(n)
-            while seq is not None:
-                rooted.append(seq)
-                step = treegen._rooted_successor(seq)
-                seq = step and step[1]
-            expected = [s for s in rooted if oracles.is_canonical_free(s)]
+            expected = [s for s in oracles.rooted_sequences(n) if oracles.is_canonical_free(s)]
             assert [seq for seq, _ in treegen.tree_stream(n)] == expected
 
     @pytest.mark.parametrize("n", range(1, 19))
@@ -82,19 +76,26 @@ class TestStreamProperties:
             assert parent == oracles.parents_from_levels(seq), f"order {n}, tree {i}"
 
     def test_rejects_at_most_half_the_trees(self, monkeypatch):
-        """Each rejected candidate calls _skip once; without the cut, 3.7 per tree at 15."""
-        rejects = 0
-        skip = treegen._skip
+        """Each candidate after the first tree comes from one _successor_at
+        call, so the rejects are the calls less the trees after the first;
+        without the cut, 3.7 per tree at 15. A stream that spins between two
+        trees fails once its calls pass twice the count, instead of hanging."""
+        calls = 0
+        successor_at = treegen._successor_at
 
-        def counting_skip(*args):
-            nonlocal rejects
-            rejects += 1
-            return skip(*args)
+        def counting_successor_at(*args):
+            nonlocal calls
+            calls += 1
+            if calls > limit:
+                raise AssertionError(f"order {n}: over {limit} successor calls")
+            return successor_at(*args)
 
-        monkeypatch.setattr(treegen, "_skip", counting_skip)
+        monkeypatch.setattr(treegen, "_successor_at", counting_successor_at)
         for n in range(3, 19):
-            rejects = 0
+            calls = 0
+            limit = 2 * treegen.tree_count_recurrence(n)
             trees = sum(1 for _ in treegen.tree_stream(n))
+            rejects = calls - (trees - 1)
             assert rejects <= trees / 2, f"order {n}: {rejects} rejects, {trees} trees"
 
     @pytest.mark.parametrize("n", range(3, 9))
