@@ -32,8 +32,6 @@ from .polynomials import (
     delta_seq,
     normalized_seq,
     trace_power,
-    tree_charpoly,
-    tree_traces,
 )
 from .sequences import (
     BoundSet,

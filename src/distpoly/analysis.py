@@ -7,14 +7,16 @@ matrix. analyze_graph relabels a tree into a preorder
 (treegen.preorder_parents, the one relabeler) for analyze_tree, and
 gives every other graph BFS distances and Berkowitz. Both then run each
 check once (_checks) and build the TreeReport from what the checks
-computed (_report). verify_range runs the checks on every free tree of
-orders 3..n_max, with the polynomial and the traces each folded from
-the stream's level sequences (polynomials.level_fold and trace_fold),
-and counts the trees per (peak, bounds) pair. Those counts are the whole
-aggregate, merged by Counter addition, so its content is independent of
-the worker count; aggregate_report_to_json derives every number it writes
-from them. It builds a report only for a tree that fails a
-check, or for every tree when per-tree reports are asked for.
+computed (_report). A tree takes one way in, _tree_step, which folds
+the polynomial and the traces from its level sequence
+(polynomials.level_fold and trace_fold) and runs the checks: once for
+analyze_tree, and on every free tree of orders 3..n_max for
+verify_range, which counts the trees per (peak, bounds) pair. Those
+counts are the whole aggregate, merged by Counter addition, so its
+content is independent of the worker count; aggregate_report_to_json
+derives every number it writes from them. The sweep builds a report only
+for a tree that fails a check, or for every tree when per-tree reports
+are asked for.
 
 JSON conventions: coefficient-sized integers are serialized as decimal
 strings because they outgrow 64-bit range quickly; dyadic rationals are
@@ -93,12 +95,8 @@ def analyze_tree(parent) -> TreeReport:
     Raises ValueError on any other array or an order below 3;
     treegen.preorder_parents relabels a tree Graph into the form.
     """
-    levels = polynomials._levels(parent)  # checked once, for both folds
-    n = len(parent)
-    poly = polynomials.level_fold(n)(levels)
-    tr2, tr3, diam = polynomials.trace_fold(n)(levels)
-    p3 = _p3_count(parent)
-    return _report(diam, p3, poly, _checks(True, diam, p3, poly, tr2, tr3))
+    levels = treegen._levels(parent)
+    return _report(*_tree_step(len(parent))(levels, parent))
 
 
 def analyze_graph(g: graphs.Graph) -> TreeReport:
@@ -126,13 +124,25 @@ def analyze_graph(g: graphs.Graph) -> TreeReport:
     return _report(diam, p3, poly, _checks(False, diam, p3, poly, tr2, tr3))
 
 
-def _p3_count(parent) -> int:
-    """Sum of C(deg v, 2), the 2-path count, over a tree's parent array."""
-    degree = [1] * len(parent)
-    degree[0] = 0
-    for p in parent[1:]:
-        degree[p] += 1
-    return (sum(map(mul, degree, degree)) >> 1) - len(parent) + 1  # the degrees sum to 2(n - 1)
+def _tree_step(n: int):
+    """step(seq, parent) -> the arguments of _report, for the order-n tree
+    with level sequence seq and preorder parent array parent. A step folds
+    the polynomial and the traces (each fold restarts from the tree
+    before), counts the 2-paths, sum C(deg v, 2), and runs _checks once."""
+    fold = polynomials.level_fold(n)
+    traces = polynomials.trace_fold(n)
+
+    def step(seq, parent):
+        poly = fold(seq)
+        tr2, tr3, diam = traces(seq)
+        degree = [1] * n
+        degree[0] = 0
+        for p in parent[1:]:
+            degree[p] += 1
+        p3 = (sum(map(mul, degree, degree)) >> 1) - n + 1  # the degrees sum to 2(n - 1)
+        return diam, p3, poly, _checks(True, diam, p3, poly, tr2, tr3)
+
+    return step
 
 
 def _checks(tree: bool, diam: int, p3: int, poly: polynomials.CharPoly, tr2: int, tr3: int):
@@ -259,22 +269,18 @@ def _sweep(n: int, want_per_tree: bool, rank: int = 0, jobs: int = 1):
     """Tree counts per (peak, bounds) pair and the report items of the
     trees that fail a check (of every tree, if asked) of chunks rank,
     rank + jobs, rank + 2*jobs, ... of the order-n tree stream."""
-    fold = polynomials.level_fold(n)
-    traces = polynomials.trace_fold(n)
+    step = _tree_step(n)
     trees = enumerate(treegen.tree_stream(n))
     chunks = iter(lambda: list(islice(trees, _CHUNK_SIZE)), [])
     for chunk in islice(chunks, rank, None, jobs):
         shapes: Counter = Counter()
         items: list[dict] = []
         for tree_id, (seq, parent) in chunk:
-            poly = fold(seq)
-            tr2, tr3, diam = traces(seq)
-            p3 = _p3_count(parent)
-            checked = _checks(True, diam, p3, poly, tr2, tr3)
-            shapes[checked[2], checked[3]] += 1  # (peak, bounds)
-            if want_per_tree or False in checked[4]:
-                item = tree_report_to_json(_report(diam, p3, poly, checked))
-                items.append({**item, "id": tree_id})
+            stepped = step(seq, parent)
+            _, _, peak, bounds, outcomes = stepped[3]
+            shapes[peak, bounds] += 1
+            if want_per_tree or False in outcomes:
+                items.append({**tree_report_to_json(_report(*stepped)), "id": tree_id})
         yield shapes, items
 
 

@@ -14,9 +14,8 @@ traces of D^2 and D^3 and the diameter come from a second fold
 the state of every prefix and refolds a tree only from where it first
 differs from the last one folded; that restart is written once
 (_restartable), while the two folds share no state and no identity.
-tree_charpoly and tree_traces fold one tree given as a preorder parent
-array, the one tree form that both kernels take and that _levels checks;
-so no tree ever forms its distance matrix.
+Both take level sequences only, so no tree ever forms its distance
+matrix; treegen makes and checks the parent arrays they come from.
 Normalized coefficients are ints wherever they are integral, which they
 are for every tree, so only non-trees ever build a Fraction.
 """
@@ -80,32 +79,6 @@ def charpoly(matrix) -> CharPoly:
         coeffs = [sum(map(mul, rev[-1 - i:], coeffs)) for i in range(len(coeffs) + 1)]
     coeffs.reverse()
     return CharPoly(n, tuple(coeffs))
-
-
-def _levels(parent) -> list[int]:
-    """Level sequence of a tree given as a preorder parent array.
-
-    Raises ValueError unless the order is at least 3, parent[0] == -1 and
-    each other parent[i] lies on the root path of i - 1: the preorder
-    that treegen.tree_stream and treegen.preorder_parents give, and the
-    one form that both folds, behind tree_charpoly and tree_traces, take.
-    """
-    n = len(parent)
-    if n < 3:
-        raise ValueError("tree kernel needs order at least 3")
-    if parent[0] != -1:
-        raise ValueError("parent[0] must be -1, the root")
-    levels = [0] * n
-    # last[d] = latest vertex at depth d; for d <= levels[i - 1] it lies
-    # on the root path of i - 1
-    last = [0] * n
-    for i in range(1, n):
-        p = parent[i]
-        if not 0 <= p < i or levels[p] > levels[i - 1] or last[levels[p]] != p:
-            raise ValueError(f"parent[{i}] = {p} is not on the root path of vertex {i - 1}")
-        levels[i] = d = levels[p] + 1
-        last[d] = i
-    return levels
 
 
 def _restartable(rules):
@@ -284,17 +257,6 @@ def level_fold(n: int):
     return (0, 1, 0, 0, 0, 0), leaf, absorb, result
 
 
-def tree_charpoly(parent) -> CharPoly:
-    """det(xI - D) of a tree from its preorder parent array; D is never
-    formed.
-
-    A fresh level_fold of the array's level sequence. Raises ValueError
-    on any array that is not a preorder (see _levels) and when the order
-    is below 3.
-    """
-    return level_fold(len(parent))(_levels(parent))
-
-
 def delta_seq(p: CharPoly) -> tuple[int, ...]:
     """Coefficients delta_0..delta_n of det(M - xI): delta_k = (-1)^n c_k."""
     if not p.coeffs or p.coeffs[-1] != 1:
@@ -398,14 +360,3 @@ def trace_fold(n: int):
                 U3 + T3, H if H > h else h, max(M, m, H + h), rest)
 
     return (1, 0, 0, 0, 0, 0, 0, 0, 0, 0), leaf, absorb, itemgetter(6, 7, 9)  # T2, T3, m
-
-
-def tree_traces(parent) -> tuple[int, int, int]:
-    """(tr(D^2), tr(D^3), diameter) of a tree from its preorder parent
-    array; D is never formed.
-
-    A fresh trace_fold of the array's level sequence. Takes the same
-    parent arrays as tree_charpoly and raises ValueError on the same
-    malformed inputs.
-    """
-    return trace_fold(len(parent))(_levels(parent))

@@ -29,9 +29,10 @@ _successor_at to lower, keeping every position before p:
 first, the least p since the last yielded tree, is where the next tree
 first differs from it, and its parent array is rebuilt from there only.
 Rejected candidates per tree: 0.35 at order 8, the most over orders
-3..18, 0.12 at 15, 0.066 at 18 (3.7 at 15 without the cut). The parent
-arrays are preorders, the one tree form of the kernels in polynomials;
-preorder_parents relabels any tree Graph into one.
+3..18, 0.12 at 15, 0.066 at 18 (3.7 at 15 without the cut). Only this
+module makes, relabels (preorder_parents) and checks (_levels) the
+preorder parent arrays whose level sequences the folds in polynomials
+take.
 """
 
 from __future__ import annotations
@@ -133,8 +134,8 @@ def preorder_parents(g: Graph) -> tuple[int, ...]:
     """Parent array of a tree, relabeled by a depth-first preorder from 0.
 
     parent[0] == ROOT and each other parent[i] lies on the root path of
-    i - 1, the one tree form of the kernels in polynomials. Raises
-    ValueError unless g is a tree.
+    i - 1, the form that _levels takes. Raises ValueError unless g is a
+    tree.
     """
     n = g.n
     label = [-1] * n
@@ -154,6 +155,32 @@ def preorder_parents(g: Graph) -> tuple[int, ...]:
     if len(parent) < n:
         raise ValueError(f"graph is not a tree: vertex {label.index(-1)} is not reachable from 0")
     return tuple(parent)
+
+
+def _levels(parent) -> list[int]:
+    """Level sequence of a tree given as a preorder parent array.
+
+    Raises ValueError unless the order is at least 3, parent[0] == ROOT
+    and each other parent[i] lies on the root path of i - 1: the preorder
+    that tree_stream and preorder_parents give, whose level sequence is
+    the one tree form of the folds in polynomials.
+    """
+    n = len(parent)
+    if n < 3:
+        raise ValueError("tree kernel needs order at least 3")
+    if parent[0] != ROOT:
+        raise ValueError("parent[0] must be -1, the root")
+    levels = [0] * n
+    # last[d] = latest vertex at depth d; for d <= levels[i - 1] it lies
+    # on the root path of i - 1
+    last = [0] * n
+    for i in range(1, n):
+        p = parent[i]
+        if not 0 <= p < i or levels[p] > levels[i - 1] or last[levels[p]] != p:
+            raise ValueError(f"parent[{i}] = {p} is not on the root path of vertex {i - 1}")
+        levels[i] = d = levels[p] + 1
+        last[d] = i
+    return levels
 
 
 def _rooted_counts(limit: int) -> list[int]:

@@ -110,10 +110,11 @@ class TestTreeChecks:
     PARENT = (-1, 0, 1, 1, 3, 4)
 
     def report_with(self, k: int, value) -> analysis.TreeReport:
-        poly = polynomials.tree_charpoly(self.PARENT)
+        seq = oracles.levels_from_parents(self.PARENT)
+        poly = polynomials.level_fold(len(seq))(seq)
         coeffs = list(poly.coeffs)
         coeffs[k] = value(coeffs[k])
-        tr2, tr3, diam = polynomials.tree_traces(self.PARENT)
+        tr2, tr3, diam = polynomials.trace_fold(len(seq))(seq)
         p3 = analysis.analyze_tree(self.PARENT).p3_count
         altered = polynomials.CharPoly(poly.n, tuple(coeffs))
         checked = analysis._checks(True, diam, p3, altered, tr2, tr3)
@@ -353,6 +354,23 @@ class TestVerifyRange:
             parallel = []
             analysis.verify_range(8, jobs=jobs, per_tree_sink=parallel.append)
             assert parallel == serial, (chunk, jobs)
+
+    @pytest.mark.parametrize(
+        "chunk,jobs", [(analysis._CHUNK_SIZE, 1), (analysis._CHUNK_SIZE, 2), (7, 1), (7, 2)]
+    )
+    def test_per_tree_items_equal_fresh_analyze_tree(self, monkeypatch, chunk, jobs):
+        # the sweep's folds restart from the tree before, and with chunks
+        # of 7 at two jobs they jump over the chunks of the other worker;
+        # analyze_tree folds each tree afresh
+        expected = [
+            {**analysis.tree_report_to_json(analysis.analyze_tree(parent)), "id": tree_id}
+            for n in range(3, 11)
+            for tree_id, (_, parent) in enumerate(treegen.tree_stream(n))
+        ]
+        monkeypatch.setattr(analysis, "_CHUNK_SIZE", chunk)
+        items = []
+        analysis.verify_range(10, jobs=jobs, per_tree_sink=items.append)
+        assert items == expected
 
     def test_violation_reporting(self, monkeypatch):
         # no real tree violates the theorems, so force a failing predicate

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from distpoly import graphs, polynomials, sequences, treegen
+from distpoly import analysis, graphs, polynomials, sequences, treegen
 
 # ascending coefficients of det(xI - D) for the Heawood graph
 HEAWOOD_COEFFS = (
@@ -32,6 +32,12 @@ def tree_graph(rng, n):
     return graphs.graph_from_edges(
         n, [(u, v) for u in range(n) for v in adj[u] if u < v]
     )
+
+
+def fresh(factory, parent):
+    """A fresh fold by the fold factory of one tree given as a parent
+    array: level_fold gives its polynomial, trace_fold its traces."""
+    return factory(len(parent))(oracles.levels_from_parents(parent))
 
 
 def extreme_shapes(n):
@@ -109,14 +115,14 @@ class TestTreeCharpoly:
             for tree in treegen.enumerate_trees(n):
                 g = treegen.to_graph(tree)
                 expected = polynomials.charpoly(graphs.distance_matrix(g))
-                assert polynomials.tree_charpoly(tree.parent) == expected
+                assert fresh(polynomials.level_fold, tree.parent) == expected
 
     def test_random_prufer_trees_orders_18_to_24(self):
         rng = random.Random(61)
         for _ in range(30):
             g = tree_graph(rng, rng.randint(18, 24))
             expected = polynomials.charpoly(graphs.distance_matrix(g))
-            assert polynomials.tree_charpoly(treegen.preorder_parents(g)) == expected
+            assert fresh(polynomials.level_fold, treegen.preorder_parents(g)) == expected
 
     def test_extreme_shapes_at_order_60_match_the_matrix(self):
         # both tree kernels against the distance matrix, by other math:
@@ -124,8 +130,8 @@ class TestTreeCharpoly:
         for g in extreme_shapes(60):
             parent = treegen.preorder_parents(g)
             dm = graphs.distance_matrix(g)
-            assert polynomials.tree_charpoly(parent) == polynomials.charpoly(dm)
-            assert polynomials.tree_traces(parent) == TestTreeTraces.expected(g)
+            assert fresh(polynomials.level_fold, parent) == polynomials.charpoly(dm)
+            assert fresh(polynomials.trace_fold, parent) == TestTreeTraces.expected(g)
 
     @pytest.mark.parametrize("n", [25, 40, 60, 100, 200])
     def test_packing_matches_list_oracle(self, n):
@@ -140,7 +146,7 @@ class TestTreeCharpoly:
             tree_graph(random.Random(n + 1), n),
         ]
         for g in shapes:
-            kernel = polynomials.tree_charpoly(treegen.preorder_parents(g))
+            kernel = fresh(polynomials.level_fold, treegen.preorder_parents(g))
             assert kernel.coeffs == oracles.tree_charpoly_lists(g.adj)
 
     @pytest.mark.parametrize(
@@ -155,12 +161,12 @@ class TestTreeCharpoly:
     )
     def test_non_tree_rejected(self, graph):
         with pytest.raises(ValueError, match="tree"):
-            polynomials.tree_charpoly(treegen.preorder_parents(graph))
+            fresh(polynomials.level_fold, treegen.preorder_parents(graph))
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_small_order_rejected(self, n):
         with pytest.raises(ValueError, match="order at least 3"):
-            polynomials.tree_charpoly(treegen.preorder_parents(oracles.path_graph(n)))
+            fresh(polynomials.level_fold, treegen.preorder_parents(oracles.path_graph(n)))
 
 
 # sequences both folds of order 6 must reject, whatever they folded before
@@ -321,8 +327,8 @@ def test_folds_share_no_state():
 
 
 class TestTreeTraces:
-    """tree_traces, a fresh trace fold of one tree, against trace_power
-    on the BFS matrix."""
+    """A fresh trace fold of one tree against trace_power on the BFS
+    matrix, and the parent arrays that analyze_tree rejects."""
 
     @staticmethod
     def expected(g):
@@ -333,7 +339,7 @@ class TestTreeTraces:
         for n in range(3, 15):
             for tree in treegen.enumerate_trees(n):
                 g = treegen.to_graph(tree)
-                assert polynomials.tree_traces(tree.parent) == self.expected(g)
+                assert fresh(polynomials.trace_fold, tree.parent) == self.expected(g)
 
     def test_random_prufer_trees_orders_18_to_200(self):
         rng = random.Random(71)
@@ -341,7 +347,7 @@ class TestTreeTraces:
         shapes = [oracles.path_graph(200), oracles.star_graph(200)]
         shapes += [tree_graph(rng, n) for n in [*range(18, 60), 100, 200]]
         for g in shapes:
-            assert polynomials.tree_traces(treegen.preorder_parents(g)) == self.expected(g)
+            assert fresh(polynomials.trace_fold, treegen.preorder_parents(g)) == self.expected(g)
 
     @pytest.mark.parametrize("n", [150, 200, 300])
     def test_path_pins_the_digit_width(self, n):
@@ -349,7 +355,7 @@ class TestTreeTraces:
         # largest traces: these orders pinned the packed digit width that
         # the fold replaced (see TestTraceFold), and the fold must match too
         g = oracles.path_graph(n)
-        assert polynomials.tree_traces(treegen.preorder_parents(g)) == self.expected(g)
+        assert fresh(polynomials.trace_fold, treegen.preorder_parents(g)) == self.expected(g)
 
     @pytest.mark.parametrize(
         "parent",
@@ -365,15 +371,28 @@ class TestTreeTraces:
             (-1, 0, 1, 0, 2),  # 2 is the latest vertex at its depth, but off the root path of 3
         ],
     )
-    @pytest.mark.parametrize("kernel", [polynomials.tree_charpoly, polynomials.tree_traces])
-    def test_malformed_parent_rejected(self, kernel, parent):
+    # each id names the fold that must never take the array
+    @pytest.mark.parametrize(
+        "fold", ["level_fold", "trace_fold"], ids=["tree_charpoly", "tree_traces"]
+    )
+    def test_malformed_parent_rejected(self, monkeypatch, fold, parent):
+        real = getattr(polynomials, fold)
+        folded = []
+
+        def factory(n):
+            closure = real(n)
+            return lambda seq: folded.append(seq) or closure(seq)
+
+        monkeypatch.setattr(polynomials, fold, factory)
         with pytest.raises(ValueError):
-            kernel(parent)
+            analysis.analyze_tree(parent)
+        assert folded == []
 
 
 class TestParentBeforeChild:
-    """Parent-before-child labelings that are not preorders: both tree
-    kernels reject them, and preorder_parents relabels their graphs."""
+    """Parent-before-child labelings that are not preorders:
+    analyze_tree rejects them, and preorder_parents relabels their graphs
+    for both folds."""
 
     def test_random_bfs_relabelings_through_order_12(self):
         rng = random.Random(97)
@@ -384,27 +403,26 @@ class TestParentBeforeChild:
                 parent = oracles.random_bfs_parents(rng, tree.parent)
                 g = graphs.graph_from_edges(n, [(parent[i], i) for i in range(1, n)])
                 relabeled = treegen.preorder_parents(g)
-                assert polynomials.tree_charpoly(relabeled) == polynomials.charpoly(
+                assert fresh(polynomials.level_fold, relabeled) == polynomials.charpoly(
                     graphs.distance_matrix(g)
                 )
-                assert polynomials.tree_traces(relabeled) == TestTreeTraces.expected(g)
+                assert fresh(polynomials.trace_fold, relabeled) == TestTreeTraces.expected(g)
                 if not oracles.is_preorder(parent):
                     rejected += 1
-                    for kernel in (polynomials.tree_charpoly, polynomials.tree_traces):
-                        with pytest.raises(ValueError, match="root path"):
-                            kernel(parent)
+                    with pytest.raises(ValueError, match="root path"):
+                        analysis.analyze_tree(parent)
         assert rejected > trees / 2  # most BFS labelings are not preorders
 
     def test_path_with_subtree_after_sibling(self):
         # vertex 3 hangs off 1 after the subtree of 2: the path 3-1-0-2
         parent = (-1, 0, 0, 1)
-        for kernel in (polynomials.tree_charpoly, polynomials.tree_traces):
-            with pytest.raises(ValueError, match=r"parent\[3\] = 1 is not on the root path"):
-                kernel(parent)
+        with pytest.raises(ValueError, match=r"parent\[3\] = 1 is not on the root path"):
+            analysis.analyze_tree(parent)
         g = graphs.graph_from_edges(4, [(parent[i], i) for i in range(1, 4)])
         relabeled = treegen.preorder_parents(g)
-        assert polynomials.tree_charpoly(relabeled) == polynomials.charpoly(graphs.distance_matrix(g))
-        assert polynomials.tree_traces(relabeled) == TestTreeTraces.expected(g)
+        expected = polynomials.charpoly(graphs.distance_matrix(g))
+        assert fresh(polynomials.level_fold, relabeled) == expected
+        assert fresh(polynomials.trace_fold, relabeled) == TestTreeTraces.expected(g)
 
 
 class TestDetAt:
@@ -514,7 +532,7 @@ class TestNormalizedSeq:
     def test_trees_give_ints(self):
         for n in range(3, 11):
             for tree in treegen.enumerate_trees(n):
-                ds = polynomials.delta_seq(polynomials.tree_charpoly(tree.parent))
+                ds = polynomials.delta_seq(fresh(polynomials.level_fold, tree.parent))
                 assert all(type(x) is int for x in polynomials.normalized_seq(ds))
 
     def test_fraction_only_where_not_integral(self):

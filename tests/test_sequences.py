@@ -158,7 +158,9 @@ class TestNewtonCheck:
     def test_matches_binomial_form_on_tree_coefficients(self):
         polys = [polynomials.charpoly(graphs.distance_matrix(graphs.heawood()))]
         for n in range(3, 13):
-            polys.extend(polynomials.tree_charpoly(t.parent) for t in treegen.enumerate_trees(n))
+            fold = polynomials.level_fold(n)
+            for tree in treegen.enumerate_trees(n):
+                polys.append(fold(oracles.levels_from_parents(tree.parent)))
         for poly in polys:
             assert sequences.newton_check(poly.coeffs) == oracles.newton_binomial(poly.coeffs)
 
