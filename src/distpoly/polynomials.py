@@ -336,7 +336,9 @@ def trace_fold(n: int):
     # a state is (s, a1, a2, P0, P1, P2, T2, T3, h, m, rest)
     def leaf(state):
         s, a1, a2, P0, P1, P2, T2, T3, h, m, rest = state
-        if s == 1:  # the general rule from a lone vertex gives the same ints
+        # required, not a fast path: from a lone vertex the general rule
+        # keeps h at 0, and every diameter comes out one short
+        if s == 1:
             return one_leaf + (rest,)
         c = a2 + 2 * a1 + s
         return (s + 1, a1 + 1, a2 + 1, P0 + 2 * (a1 + s), P1 + c, P2 + 2 * (a2 + a1),

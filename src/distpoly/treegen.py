@@ -16,9 +16,10 @@ rest is at most n - 1 - k high: lower for k > n - top, and for k = n - top
 at most as high and smaller unless 2 * top = n. So no subtree longer than
 cap = n - 1 - top (top if 2 * top = n) passes.
 
-tree_stream, the one generator, is one loop over candidates. Each pass
-takes one of three branches, and each branch picks a position p for
-_successor_at to lower, keeping every position before p:
+tree_stream, the one generator, steps one level list and one parent
+list in place. Each pass over a candidate takes one of three branches,
+and each branch picks a position p for _lower_at to lower, keeping every
+position before p and rewriting levels and parents from p on in one pass:
 - the cut: a first root subtree longer than cap is cut back to its first
   cap vertices, followed by the root's second child;
 - the skip: any other rejected subtree is skipped whole at its last
@@ -26,8 +27,9 @@ _successor_at to lower, keeping every position before p:
 - the rooted step: a kept candidate is yielded, and the last vertex at
   depth 2 or more is lowered, the step of Beyer and Hedetniemi (SIAM J.
   Comput. 9 (1980) 706-712); the star, which has none, is last.
-first, the least p since the last yielded tree, is where the next tree
-first differs from it, and its parent array is rebuilt from there only.
+The root's second child m, the first root subtree's height top and cap
+read positions 0..m only, so they are re-derived only after a step
+lowers one of those positions.
 Rejected candidates per tree: 0.35 at order 8, the most over orders
 3..18, 0.12 at 15, 0.066 at 18 (3.7 at 15 without the cut). Only this
 module makes, relabels (preorder_parents) and checks (_levels) the
@@ -53,40 +55,42 @@ class CanonicalTree:
     parent: tuple[int, ...]  # a preorder: parent[0] == ROOT, parent[i] on the root path of i - 1
 
 
-def _successor_at(seq: list[int], p: int, q: int | None = None) -> list[int]:
+def _lower_at(seq: list[int], parent: list[int], p: int, q: int | None = None) -> None:
     # lex-next canonical rooted sequence that lowers position p to the depth
     # of q, the last position before p at that depth (by default the parent
-    # of p): repeat the segment [q, p) cyclically
+    # of p): repeat the segment [q, p) over [p, n), in place. The segment is
+    # q and vertices of its subtree, so a copy of q is a child of q's parent
+    # and any other copy has its model's parent shifted by the period.
     if q is None:
-        q = p - 1
-        while seq[q] != seq[p] - 1:
-            q -= 1
-    n = len(seq)
-    return seq[:q] + (seq[q:p] * ((n - q) // (p - q) + 1))[: n - q]
+        q = parent[p]
+    k = p - q
+    d, r = seq[q], parent[q]
+    for i in range(p, len(seq)):
+        seq[i] = e = seq[i - k]
+        parent[i] = r if e == d else parent[i - k] + k
 
 
 def tree_stream(n: int) -> Iterator[tuple[list[int], tuple[int, ...]]]:
     """(level sequence, parent array) of each tree.
 
-    The trees and their order are those of enumerate_trees. Each parent
-    array is rebuilt only from the first index at which the level sequence
-    differs from the one before, as the prefix before it is unchanged: the
-    parent of i is the first vertex at a lower depth on the way up from
-    i - 1. The yielded lists are never changed later.
+    The trees and their order are those of enumerate_trees. One level list
+    and one parent list are stepped in place; each tree is yielded as
+    copies of both, which are never changed later.
     """
     if n < 1:
         raise ValueError("tree order must be at least 1")
     height = n // 2
     seq = list(range(height + 1)) + list(range(1, n - height))  # the center-rooted path
-    parent = [ROOT] * n
-    first = 1  # the root is always at 0, so the first tree counts as new from 1
+    parent = [ROOT, *range(height), 0, *range(height + 1, n - 1)][:n]  # and its parents
+    p = m = 0  # so the first pass derives m, top and cap
     while True:
-        try:
-            m = seq.index(1, 2)  # the root's second child
-        except ValueError:
-            m = n
-        top = max(seq[:m])  # 0 for the single vertex
-        cap = max(n - 1 - top, top)
+        if p <= m:  # the last step lowered one of the positions 0..m they read
+            try:
+                m = seq.index(1, 2)  # the root's second child
+            except ValueError:
+                m = n
+            top = max(seq[:m])  # 0 for the single vertex
+            cap = max(n - 1 - top, top)
         if m - 1 > cap:
             p, q = cap + 1, 1  # cut the subtree back to its first cap vertices
         else:
@@ -95,24 +99,16 @@ def tree_stream(n: int) -> Iterator[tuple[list[int], tuple[int, ...]]]:
             if left > rest or (left == rest and [d - 1 for d in seq[1:m]] > [0] + seq[m:]):
                 p, q = m - 1, None  # skip the whole subtree at its last vertex, at depth >= 2
             else:
-                for i in range(first, n):
-                    d = seq[i]
-                    u = i - 1
-                    while seq[u] >= d:
-                        u = parent[u]
-                    parent[i] = u
-                yield seq, tuple(parent)
+                yield seq[:], tuple(parent)
                 # the rooted step lowers the last vertex at depth >= 2
                 p = n - 1
                 while p > 0 and seq[p] < 2:
                     p -= 1
                 if p == 0:
                     return  # the star is last
-                first, q = p, None
+                q = None
         # each step keeps the positions before p and lowers p
-        if p < first:
-            first = p
-        seq = _successor_at(seq, p, q)
+        _lower_at(seq, parent, p, q)
 
 
 def enumerate_trees(n: int) -> Iterator[CanonicalTree]:

@@ -1,11 +1,13 @@
 """A guard on the tree stream for every test.
 
-Each candidate of treegen.tree_stream comes from one _successor_at call,
-which keeps every position before the one it lowers, so the candidates
-strictly descend in lexicographic order and the stream ends. A stream
-that steps in place would spin between two trees without yielding; under
-the guard it fails at its first such step instead of hanging the suite.
-Forked sweep workers inherit the guard; child interpreters do not.
+treegen.tree_stream steps one level list in place, each candidate by one
+_lower_at call, which keeps every position before the one it lowers, so
+the candidates strictly descend in lexicographic order and the stream
+ends. The guard copies the list before each step and fails unless the
+step leaves it lexicographically smaller, so a stream that would spin
+between two trees without yielding fails at its first such step instead
+of hanging the suite. Forked sweep workers inherit the guard; child
+interpreters do not.
 """
 
 import pytest
@@ -14,13 +16,13 @@ from distpoly import treegen
 
 
 @pytest.fixture(autouse=True)
-def successors_descend(monkeypatch):
-    successor_at = treegen._successor_at
+def steps_descend(monkeypatch):
+    lower_at = treegen._lower_at
 
-    def descending(seq, p, q=None):
-        out = successor_at(seq, p, q)
-        if not out < seq:
-            raise AssertionError(f"_successor_at({seq}, {p}, {q}) = {out} is not below its input")
-        return out
+    def descending(seq, parent, p, q=None):
+        before = seq[:]
+        lower_at(seq, parent, p, q)
+        if not seq < before:
+            raise AssertionError(f"_lower_at({before}, {p}, {q}) left {seq}, not below its input")
 
-    monkeypatch.setattr(treegen, "_successor_at", descending)
+    monkeypatch.setattr(treegen, "_lower_at", descending)

@@ -76,28 +76,6 @@ class TestAnalyzeTree:
                 )
                 assert analysis.analyze_graph(g) == analysis.analyze_tree(tree.parent)
 
-    def test_random_bfs_relabelings_through_order_12(self):
-        # analyze_tree takes preorders only; the graph of any other
-        # labeling goes through analyze_graph, which relabels it
-        rng = random.Random(89)
-        rejected = trees = 0
-        for n in range(3, 13):
-            for tree in treegen.enumerate_trees(n):
-                trees += 1
-                parent = oracles.random_bfs_parents(rng, tree.parent)
-                g = graphs.graph_from_edges(n, [(parent[i], i) for i in range(1, n)])
-                assert analysis.analyze_graph(g) == analysis.analyze_tree(tree.parent)
-                if not oracles.is_preorder(parent):
-                    rejected += 1
-                    with pytest.raises(ValueError, match="root path"):
-                        analysis.analyze_tree(parent)
-        assert rejected > trees / 2  # most BFS labelings are not preorders
-
-    def test_non_preorder_array_rejected(self):
-        # vertex 3 hangs off 1 after the subtree of 2: the path 3-1-0-2
-        with pytest.raises(ValueError, match=r"parent\[3\] = 1 is not on the root path"):
-            analysis.analyze_tree((-1, 0, 0, 1))
-
     def test_p3_count_and_diameter(self):
         report = analysis.analyze_tree((-1, 0, 1, 1))  # the star on 4 vertices, centre 1
         assert report.p3_count == 3

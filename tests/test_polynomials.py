@@ -391,27 +391,32 @@ class TestTreeTraces:
 
 class TestParentBeforeChild:
     """Parent-before-child labelings that are not preorders:
-    analyze_tree rejects them, and preorder_parents relabels their graphs
-    for both folds."""
+    analyze_tree rejects them, analyze_graph gives their graphs the report
+    of the preorder, and preorder_parents relabels their graphs for both
+    folds."""
 
     def test_random_bfs_relabelings_through_order_12(self):
-        rng = random.Random(97)
-        rejected = trees = 0
-        for n in range(3, 13):
-            for tree in treegen.enumerate_trees(n):
-                trees += 1
-                parent = oracles.random_bfs_parents(rng, tree.parent)
-                g = graphs.graph_from_edges(n, [(parent[i], i) for i in range(1, n)])
-                relabeled = treegen.preorder_parents(g)
-                assert fresh(polynomials.level_fold, relabeled) == polynomials.charpoly(
-                    graphs.distance_matrix(g)
-                )
-                assert fresh(polynomials.trace_fold, relabeled) == TestTreeTraces.expected(g)
-                if not oracles.is_preorder(parent):
-                    rejected += 1
-                    with pytest.raises(ValueError, match="root path"):
-                        analysis.analyze_tree(parent)
-        assert rejected > trees / 2  # most BFS labelings are not preorders
+        # analyze_tree takes preorders only; the graph of any other
+        # labeling goes through analyze_graph, which relabels it
+        for seed in (89, 97):
+            rng = random.Random(seed)
+            rejected = trees = 0
+            for n in range(3, 13):
+                for tree in treegen.enumerate_trees(n):
+                    trees += 1
+                    parent = oracles.random_bfs_parents(rng, tree.parent)
+                    g = graphs.graph_from_edges(n, [(parent[i], i) for i in range(1, n)])
+                    assert analysis.analyze_graph(g) == analysis.analyze_tree(tree.parent)
+                    relabeled = treegen.preorder_parents(g)
+                    assert fresh(polynomials.level_fold, relabeled) == polynomials.charpoly(
+                        graphs.distance_matrix(g)
+                    )
+                    assert fresh(polynomials.trace_fold, relabeled) == TestTreeTraces.expected(g)
+                    if not oracles.is_preorder(parent):
+                        rejected += 1
+                        with pytest.raises(ValueError, match="root path"):
+                            analysis.analyze_tree(parent)
+            assert rejected > trees / 2  # most BFS labelings are not preorders
 
     def test_path_with_subtree_after_sibling(self):
         # vertex 3 hangs off 1 after the subtree of 2: the path 3-1-0-2

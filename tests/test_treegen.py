@@ -69,34 +69,66 @@ class TestStreamProperties:
 
     @pytest.mark.parametrize("n", range(1, 17))
     def test_parents_rebuilt_from_first_changed_position(self, n):
-        """Each parent array, rebuilt only from the first changed position,
-        equals the one built from scratch from its level sequence; a first
-        position past the change would leave a stale parent."""
+        """Each parent array equals the one built from scratch from its level
+        sequence. Each step rewrites the parents in place from the position
+        it lowers on, so a tree's parents are rewritten from the first
+        position where it differs from the tree before, and only there; a
+        step that left a stale parent would differ."""
         for i, (seq, parent) in enumerate(treegen.tree_stream(n)):
             assert parent == oracles.parents_from_levels(seq), f"order {n}, tree {i}"
 
     def test_rejects_at_most_half_the_trees(self, monkeypatch):
-        """Each candidate after the first tree comes from one _successor_at
+        """Each candidate after the first tree comes from one _lower_at
         call, so the rejects are the calls less the trees after the first;
         without the cut, 3.7 per tree at 15. A stream that spins between two
         trees fails once its calls pass twice the count, instead of hanging."""
         calls = 0
-        successor_at = treegen._successor_at
+        lower_at = treegen._lower_at
 
-        def counting_successor_at(*args):
+        def counting_lower_at(*args):
             nonlocal calls
             calls += 1
             if calls > limit:
-                raise AssertionError(f"order {n}: over {limit} successor calls")
-            return successor_at(*args)
+                raise AssertionError(f"order {n}: over {limit} lowering steps")
+            return lower_at(*args)
 
-        monkeypatch.setattr(treegen, "_successor_at", counting_successor_at)
+        monkeypatch.setattr(treegen, "_lower_at", counting_lower_at)
         for n in range(3, 19):
             calls = 0
             limit = 2 * treegen.tree_count_recurrence(n)
             trees = sum(1 for _ in treegen.tree_stream(n))
             rejects = calls - (trees - 1)
             assert rejects <= trees / 2, f"order {n}: {rejects} rejects, {trees} trees"
+
+    def test_lower_at_every_position_through_order_10(self):
+        """_lower_at, at every vertex of depth 2 or more of every rooted
+        sequence, lowers it to its parent's depth (q by default) or to depth
+        1 (q = 1, the cut, inside the first root subtree) by repeating
+        [q, p), and leaves the parents of the result."""
+        for n in range(3, 11):
+            for seq in oracles.rooted_sequences(n):
+                m = next((i for i in range(2, n) if seq[i] == 1), n)
+                for p in range(2, n):
+                    if seq[p] < 2:
+                        continue
+                    for q in (None, 1) if p < m else (None,):
+                        out, parent = seq[:], list(oracles.parents_from_levels(seq))
+                        k = p - (parent[p] if q is None else q)
+                        treegen._lower_at(out, parent, p, q)
+                        want = seq[:p]
+                        for i in range(p, n):
+                            want.append(want[i - k])
+                        if q is None:
+                            assert want == oracles._lowered_at(seq, p)
+                        assert out == want, f"{seq} at {p}, q = {q}"
+                        assert tuple(parent) == oracles.parents_from_levels(out)
+
+    def test_guard_fails_a_step_that_does_not_descend(self):
+        """The guard in conftest, the suite's only defence against a stream
+        that loops, fails a step that leaves the level list unchanged."""
+        seq, parent = [0, 1, 1], [treegen.ROOT, 0, 0]
+        with pytest.raises(AssertionError, match="not below its input"):
+            treegen._lower_at(seq, parent, 2, 1)  # a copy of position 1 over itself
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_matches_prufer_census(self, n):
