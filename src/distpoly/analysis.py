@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle, islice
 from operator import mul
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import graphs, polynomials, sequences, treegen
 
@@ -73,8 +73,7 @@ class TreeReport:
     failed: tuple[str, ...]
 
 
-@dataclass
-class AggregateReport:
+class AggregateReport(NamedTuple):
     """Sweep result: for each order, the count of trees per (peak, bounds)
     pair, merged over the chunks by Counter addition, and the reports of
     the trees that failed a check. `jobs` and `duration_seconds` are run

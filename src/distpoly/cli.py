@@ -67,7 +67,7 @@ def _cmd_enumerate(args) -> int:
         return 0
     for tree in treegen.enumerate_trees(args.order):
         if args.emit == "parents":
-            print(" ".join(str(p) for p in tree.parent))
+            print(" ".join(map(str, tree.parent)))
         else:
             g = treegen.to_graph(tree)
             print(" ".join(f"{u} {v}" for u, v in g.edges()))
@@ -77,8 +77,10 @@ def _cmd_enumerate(args) -> int:
 def _cmd_verify(args) -> int:
     sink = None
     if args.per_tree:
+        encode = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps builds one per call
+
         def sink(item: dict) -> None:
-            print(json.dumps(item, separators=(",", ":")))
+            print(encode(item))
 
     # a usage error must leave an existing output file as it was
     analysis.check_sweep_args(args.max_order, args.jobs)

@@ -7,8 +7,8 @@ so instances can be shared freely across worker processes.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 
 class GraphParseError(ValueError):
@@ -29,8 +29,7 @@ class DisconnectedGraphError(ValueError):
         self.pair = (u, v)
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     """Simple undirected graph with sorted adjacency tuples."""
 
     n: int

@@ -22,11 +22,11 @@ are for every tree, so only non-trees ever build a Fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
 from itertools import chain, islice
 from operator import itemgetter, mul, neg
+from typing import NamedTuple
 
 
 def _rows(matrix) -> list[tuple[int, ...]]:
@@ -40,8 +40,7 @@ def _rows(matrix) -> list[tuple[int, ...]]:
     return rows
 
 
-@dataclass(frozen=True)
-class CharPoly:
+class CharPoly(NamedTuple):
     """det(xI - M) as ascending integer coefficients c_0..c_n, c_n == 1."""
 
     n: int

@@ -17,8 +17,9 @@ at most as high and smaller unless 2 * top = n. So no subtree longer than
 cap = n - 1 - top (top if 2 * top = n) passes.
 
 tree_stream, the one generator, steps one level list and one parent
-list in place. Each pass over a candidate takes one of three branches,
-and each branch picks a position p for _lower_at to lower, keeping every
+list in place; enumerate_trees maps CanonicalTree over its parent
+arrays. Each pass over a candidate takes one of three branches, and
+each branch picks a position p for _lower_at to lower, keeping every
 position before p and rewriting levels and parents from p on in one pass:
 - the cut: a first root subtree longer than cap is cut back to its first
   cap vertices, followed by the root's second child;
@@ -39,16 +40,16 @@ take.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from itertools import repeat
+from operator import itemgetter
+from typing import Iterator, NamedTuple
 
 from .graphs import Graph, graph_from_edges
 
 ROOT = -1  # parent-array sentinel marking the root
 
 
-@dataclass(frozen=True)
-class CanonicalTree:
+class CanonicalTree(NamedTuple):
     """Free tree in canonical rooted form; two are equal iff isomorphic."""
 
     n: int
@@ -112,13 +113,13 @@ def tree_stream(n: int) -> Iterator[tuple[list[int], tuple[int, ...]]]:
 
 
 def enumerate_trees(n: int) -> Iterator[CanonicalTree]:
-    """Yield every isomorphism class of free trees on n vertices once.
+    """Every isomorphism class of free trees on n vertices, once each.
 
-    The stream order is deterministic: canonical level sequences in
-    decreasing lexicographic order.
+    A map of CanonicalTree over tree_stream's parent arrays, in its order
+    (canonical level sequences in decreasing lexicographic order), with no
+    generator frame of its own; ValueError on the first next if n < 1.
     """
-    for _, parent in tree_stream(n):
-        yield CanonicalTree(n, parent)
+    return map(CanonicalTree, repeat(n), map(itemgetter(1), tree_stream(n)))
 
 
 def to_graph(tree: CanonicalTree) -> Graph:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pickle
@@ -240,6 +241,39 @@ class TestRoundTrip:
         data = analysis.tree_report_to_json(report)
         assert data["d"] == ["3/4", "4", "6"]
         assert json.loads(json.dumps(data)) == data
+
+
+class TestRecords:
+    """The record types are immutable and keep their field order; the
+    benchmark's self-test rebuilds a TreeReport with dataclasses.replace."""
+
+    @pytest.mark.parametrize(
+        "make, fields",
+        [
+            (lambda: next(treegen.enumerate_trees(4)), ("n", "parent")),
+            (lambda: polynomials.CharPoly(2, (-1, 0, 1)), ("n", "coeffs")),
+            (graphs.heawood, ("n", "adj")),
+            (lambda: analysis.verify_range(4), ("orders", "violations", "jobs", "duration_seconds")),
+        ],
+        ids=["CanonicalTree", "CharPoly", "Graph", "AggregateReport"],
+    )
+    def test_immutable_with_fields_in_order(self, make, fields):
+        record = make()
+        values = tuple(getattr(record, field) for field in fields)
+        assert type(record)(*values) == record
+        assert tuple(record) == values
+        for field, value in zip(fields, values):
+            with pytest.raises(AttributeError):
+                setattr(record, field, value)
+
+    def test_tree_report_is_a_frozen_dataclass(self):
+        report = analysis.analyze_graph(graphs.heawood())
+        assert report.failed == ()
+        altered = dataclasses.replace(report, failed=("unimodal",))
+        assert altered.failed == ("unimodal",)
+        assert dataclasses.replace(altered, failed=()) == report
+        with pytest.raises(AttributeError):
+            report.failed = ("unimodal",)
 
 
 def total_trees(report: analysis.AggregateReport) -> int:
