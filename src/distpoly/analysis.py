@@ -8,10 +8,11 @@ matrix. analyze_graph relabels a tree into a preorder
 gives every other graph BFS distances and Berkowitz. Both then run each
 check once (_checks) and build the TreeReport from what the checks
 computed (_report). A tree takes one way in, _tree_step, which folds
-the polynomial and the traces from its level sequence
-(polynomials.level_fold and trace_fold) and runs the checks: once for
-analyze_tree, and on every free tree of orders 3..n_max for
-verify_range, which counts the trees per (peak, bounds) pair. Those
+the polynomial and the traces from its parent array
+(polynomials.level_fold and trace_fold, which also check the array)
+and runs the checks: once for analyze_tree, and on every free tree of
+orders 3..n_max for verify_range, which counts the trees per (peak,
+bounds) pair. Those
 counts are the whole aggregate, merged by Counter addition, so its
 content is independent of the worker count; aggregate_report_to_json
 derives every number it writes from them. The sweep builds a report only
@@ -91,11 +92,10 @@ def analyze_tree(parent) -> TreeReport:
     The array takes the form of the parent arrays that
     treegen.tree_stream yields: parent[0] == -1 and each other parent[i]
     on the root path of i - 1. No Graph or distance matrix is built.
-    Raises ValueError on any other array or an order below 3;
+    The folds raise ValueError on any other array or an order below 3;
     treegen.preorder_parents relabels a tree Graph into the form.
     """
-    levels = treegen._levels(parent)
-    return _report(*_tree_step(len(parent))(levels, parent))
+    return _report(*_tree_step(len(parent))(parent))
 
 
 def analyze_graph(g: graphs.Graph) -> TreeReport:
@@ -124,16 +124,16 @@ def analyze_graph(g: graphs.Graph) -> TreeReport:
 
 
 def _tree_step(n: int):
-    """step(seq, parent) -> the arguments of _report, for the order-n tree
-    with level sequence seq and preorder parent array parent. A step folds
-    the polynomial and the traces (each fold restarts from the tree
-    before), counts the 2-paths, sum C(deg v, 2), and runs _checks once."""
+    """step(parent) -> the arguments of _report, for the order-n tree with
+    preorder parent array parent. A step folds the polynomial and the
+    traces (each fold checks the array and restarts from the tree before),
+    counts the 2-paths, sum C(deg v, 2), and runs _checks once."""
     fold = polynomials.level_fold(n)
     traces = polynomials.trace_fold(n)
 
-    def step(seq, parent):
-        poly = fold(seq)
-        tr2, tr3, diam = traces(seq)
+    def step(parent):
+        poly = fold(parent)
+        tr2, tr3, diam = traces(parent)
         degree = [1] * n
         degree[0] = 0
         for p in parent[1:]:
@@ -274,8 +274,8 @@ def _sweep(n: int, want_per_tree: bool, rank: int = 0, jobs: int = 1):
     for chunk in islice(chunks, rank, None, jobs):
         shapes: Counter = Counter()
         items: list[dict] = []
-        for tree_id, (seq, parent) in chunk:
-            stepped = step(seq, parent)
+        for tree_id, parent in chunk:
+            stepped = step(parent)
             _, _, peak, bounds, outcomes = stepped[3]
             shapes[peak, bounds] += 1
             if want_per_tree or False in outcomes:

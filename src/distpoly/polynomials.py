@@ -8,14 +8,14 @@ built on Graham and Lovasz's closed form for the inverse distance matrix,
 which packs each polynomial into one Python int (Kronecker substitution)
 so that its products run as C-level big-integer multiplies; the tests
 check both against an independent Bareiss determinant (tests/oracles.py).
-The tree kernel (level_fold) folds a level sequence in preorder; the
-traces of D^2 and D^3 and the diameter come from a second fold
-(trace_fold) over path-metric moments of each subtree. Each fold keeps
-the state of every prefix and refolds a tree only from where it first
-differs from the last one folded; that restart is written once
-(_restartable), while the two folds share no state and no identity.
-Both take level sequences only, so no tree ever forms its distance
-matrix; treegen makes and checks the parent arrays they come from.
+The tree kernel (level_fold) folds a preorder parent array vertex by
+vertex; the traces of D^2 and D^3 and the diameter come from a second
+fold (trace_fold) over path-metric moments of each subtree. Each fold
+keeps the state of every prefix and refolds a tree only from where it
+first differs from the last one folded; that restart, and the check of
+the array, are written once (_restartable), while the two folds share
+no state and no identity. Both take the parent arrays that treegen
+makes, so no tree ever forms its distance matrix.
 Normalized coefficients are ints wherever they are integral, which they
 are for every tree, so only non-trees ever build a Fraction.
 """
@@ -27,6 +27,8 @@ from functools import wraps
 from itertools import chain, islice
 from operator import itemgetter, mul, neg
 from typing import NamedTuple
+
+from .treegen import ROOT
 
 
 def _rows(matrix) -> list[tuple[int, ...]]:
@@ -83,16 +85,18 @@ def charpoly(matrix) -> CharPoly:
 def _restartable(rules):
     """A fold factory from rules(n) -> (opened, leaf, absorb, result).
 
-    factory(n) raises ValueError when n < 3 and returns fold(seq) over
-    preorder level sequences of order n, with the root at depth 0. The
-    open vertices, the root path of the latest one, are nested tuples,
-    each ending in the one below: opened is a vertex with no children,
-    leaf(state) has the top one absorb a leaf, absorb(state) closes it
-    into the one below, and result(state) reads the root. fold restarts
-    from the snapshot before the first position where seq differs from
-    a copy of the last sequence, and raises ValueError unless
-    len(seq) == n, seq[0] == 0 and 1 <= seq[i] <= seq[i - 1] + 1 on the
-    refolded suffix (the prefix was checked when it was folded).
+    factory(n) raises ValueError when n < 3 and returns fold(parent) over
+    preorder parent arrays of order n: parent[0] == ROOT and each other
+    parent[i] on the root path of i - 1. The open vertices, the root path
+    of the latest one, are nested tuples, each ending in the one below:
+    opened is a vertex with no children, leaf(state) has the top one
+    absorb a leaf, absorb(state) closes it into the one below, and
+    result(state) reads the root. fold restarts from the snapshot before
+    the first position where parent differs from a copy of the last array,
+    since equal parent prefixes are equal tree prefixes, and raises
+    ValueError unless len(parent) == n, parent[0] == ROOT and, on the
+    refolded suffix, each parent[i] lies on the root path of i - 1 (the
+    prefix was checked when it was folded).
 
     Each fold has its own snapshots and copy, so level_fold and
     trace_fold share this code but no state and no math: a carried-state
@@ -109,32 +113,36 @@ def _restartable(rules):
         # snaps[i]: the open ancestors of vertex i, nearest first; vertex i is
         # open too, with no children yet, so it is left implicit
         snaps: list = [None] * (n + 1)
-        last = [0]  # a copy of the last sequence folded, as far as snaps hold it
+        last = [ROOT]  # a copy of the last array folded, as far as snaps hold it
 
-        def fold(seq):
-            if len(seq) != n or seq[0] != 0:
-                raise ValueError(f"a level sequence of order {n} has {n} depths, from 0")
+        def fold(parent):
+            if len(parent) != n or parent[0] != ROOT:
+                raise ValueError(f"a parent array of order {n} has {n} entries, from {ROOT}")
             start = 1
             stop = len(last)
-            while start < stop and seq[start] == last[start]:
+            while start < stop and parent[start] == last[start]:
                 start += 1
             del last[start:]  # a fold that raises midway leaves snaps valid up to here
             state = snaps[start - 1]
-            prev = seq[start - 1]
-            # a last step to depth 1 closes every vertex below the root
-            for i, d in enumerate(chain(islice(seq, start, None), (1,)), start):
-                if not 0 < d <= prev + 1:
-                    raise ValueError(f"seq[{i}] = {d} after {prev}: not a level sequence")
-                if d > prev:  # vertex i - 1 is the parent of i
+            # a last vertex hung off the root closes every vertex below it
+            for i, p in enumerate(chain(islice(parent, start, None), (0,)), start):
+                if p == i - 1:  # vertex i - 1 is the parent of i
                     state = opened + (state,)
+                elif not 0 <= p < i:  # checked before the walk, which would close the root
+                    break
                 else:  # vertex i - 1 is a leaf
                     state = leaf(state)
-                    for _ in range(prev - d):  # close the ancestors at depth >= d
+                    a = parent[i - 1]
+                    while a > p:  # close the ancestors of i - 1 below p
                         state = absorb(state)
+                        a = parent[a]
+                    if a != p:
+                        break
                 snaps[i] = state
-                prev = d
-            last.extend(islice(seq, start, None))
-            return result(state)
+            else:
+                last.extend(islice(parent, start, None))
+                return result(state)
+            raise ValueError(f"parent[{i}] = {p} is not on the root path of vertex {i - 1}")
 
         return fold
 
@@ -143,10 +151,12 @@ def _restartable(rules):
 
 @_restartable
 def level_fold(n: int):
-    """det(xI - D) of trees of order n given as level sequences, folded
-    from the first position at which each differs from the one before.
+    """det(xI - D) of trees of order n given as preorder parent arrays,
+    folded from the first position at which each differs from the one
+    before.
 
-    Returns fold(seq) -> CharPoly, restarted and checked by _restartable.
+    Returns fold(parent) -> CharPoly, restarted and checked by
+    _restartable.
 
     Graham and Lovasz give D^-1 = -L/2 + tau tau^T / (2(n-1)) with
     tau_v = 2 - deg v, so the matrix determinant lemma yields
@@ -303,11 +313,11 @@ def trace_power(matrix) -> tuple[int, int]:
 
 @_restartable
 def trace_fold(n: int):
-    """(tr(D^2), tr(D^3), diameter) of trees of order n given as level
-    sequences, folded from the first position at which each differs from
-    the one before.
+    """(tr(D^2), tr(D^3), diameter) of trees of order n given as preorder
+    parent arrays, folded from the first position at which each differs
+    from the one before.
 
-    Returns fold(seq) -> (tr2, tr3, diameter), restarted and checked by
+    Returns fold(parent) -> (tr2, tr3, diameter), restarted and checked by
     _restartable. A closed subtree keeps small ints measured from its
     root (delta is the depth below it): its size s, a1 = sum delta,
     a2 = sum delta^2; over ordered pairs P0 = sum d(u, v),

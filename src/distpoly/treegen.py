@@ -32,16 +32,16 @@ The root's second child m, the first root subtree's height top and cap
 read positions 0..m only, so they are re-derived only after a step
 lowers one of those positions.
 Rejected candidates per tree: 0.35 at order 8, the most over orders
-3..18, 0.12 at 15, 0.066 at 18 (3.7 at 15 without the cut). Only this
-module makes, relabels (preorder_parents) and checks (_levels) the
-preorder parent arrays whose level sequences the folds in polynomials
-take.
+3..18, 0.12 at 15, 0.066 at 18 (3.7 at 15 without the cut). The level
+list is the stream's private stepping state: a tree leaves this module
+as its preorder parent array only, the one tree form that the folds in
+polynomials take and check, and preorder_parents relabels any tree
+Graph into it.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .graphs import Graph, graph_from_edges
@@ -71,12 +71,12 @@ def _lower_at(seq: list[int], parent: list[int], p: int, q: int | None = None) -
         parent[i] = r if e == d else parent[i - k] + k
 
 
-def tree_stream(n: int) -> Iterator[tuple[list[int], tuple[int, ...]]]:
-    """(level sequence, parent array) of each tree.
+def tree_stream(n: int) -> Iterator[tuple[int, ...]]:
+    """The preorder parent array of each tree, as a tuple.
 
     The trees and their order are those of enumerate_trees. One level list
-    and one parent list are stepped in place; each tree is yielded as
-    copies of both, which are never changed later.
+    and one parent list are stepped in place; each tree is yielded as a
+    tuple of the parent list.
     """
     if n < 1:
         raise ValueError("tree order must be at least 1")
@@ -100,7 +100,7 @@ def tree_stream(n: int) -> Iterator[tuple[list[int], tuple[int, ...]]]:
             if left > rest or (left == rest and [d - 1 for d in seq[1:m]] > [0] + seq[m:]):
                 p, q = m - 1, None  # skip the whole subtree at its last vertex, at depth >= 2
             else:
-                yield seq[:], tuple(parent)
+                yield tuple(parent)
                 # the rooted step lowers the last vertex at depth >= 2
                 p = n - 1
                 while p > 0 and seq[p] < 2:
@@ -119,7 +119,7 @@ def enumerate_trees(n: int) -> Iterator[CanonicalTree]:
     (canonical level sequences in decreasing lexicographic order), with no
     generator frame of its own; ValueError on the first next if n < 1.
     """
-    return map(CanonicalTree, repeat(n), map(itemgetter(1), tree_stream(n)))
+    return map(CanonicalTree, repeat(n), tree_stream(n))
 
 
 def to_graph(tree: CanonicalTree) -> Graph:
@@ -131,8 +131,8 @@ def preorder_parents(g: Graph) -> tuple[int, ...]:
     """Parent array of a tree, relabeled by a depth-first preorder from 0.
 
     parent[0] == ROOT and each other parent[i] lies on the root path of
-    i - 1, the form that _levels takes. Raises ValueError unless g is a
-    tree.
+    i - 1, the form that the folds in polynomials take. Raises ValueError
+    unless g is a tree.
     """
     n = g.n
     label = [-1] * n
@@ -152,32 +152,6 @@ def preorder_parents(g: Graph) -> tuple[int, ...]:
     if len(parent) < n:
         raise ValueError(f"graph is not a tree: vertex {label.index(-1)} is not reachable from 0")
     return tuple(parent)
-
-
-def _levels(parent) -> list[int]:
-    """Level sequence of a tree given as a preorder parent array.
-
-    Raises ValueError unless the order is at least 3, parent[0] == ROOT
-    and each other parent[i] lies on the root path of i - 1: the preorder
-    that tree_stream and preorder_parents give, whose level sequence is
-    the one tree form of the folds in polynomials.
-    """
-    n = len(parent)
-    if n < 3:
-        raise ValueError("tree kernel needs order at least 3")
-    if parent[0] != ROOT:
-        raise ValueError("parent[0] must be -1, the root")
-    levels = [0] * n
-    # last[d] = latest vertex at depth d; for d <= levels[i - 1] it lies
-    # on the root path of i - 1
-    last = [0] * n
-    for i in range(1, n):
-        p = parent[i]
-        if not 0 <= p < i or levels[p] > levels[i - 1] or last[levels[p]] != p:
-            raise ValueError(f"parent[{i}] = {p} is not on the root path of vertex {i - 1}")
-        levels[i] = d = levels[p] + 1
-        last[d] = i
-    return levels
 
 
 def _rooted_counts(limit: int) -> list[int]:

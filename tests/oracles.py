@@ -15,12 +15,12 @@ written as. The one exception is scaled_poly, which rescales the package's
 Berkowitz polynomial. The path, the star and the edge-list writer are
 fixtures built on the package's Graph. tree_charpoly_leaf_to_root runs
 the Graham-Lovasz recursion leaf to root with every degree known up
-front, and parents_from_levels builds each parent array from scratch:
-the references for the package's stream fold and its parent rebuild,
-which both restart at each tree's first changed position, and
-levels_from_parents the other way round. packed_traces
-multiplies packed rows by D three times from the parent array: the
-reference for the package's trace fold.
+front, and parents_from_levels builds each parent array from scratch
+from an oracle level sequence: the references for the package's stream
+fold and its stream's parent arrays, which both restart at each tree's
+first changed position; levels_from_parents goes the other way round.
+packed_traces multiplies packed rows by D three times from the parent
+array: the reference for the package's trace fold.
 """
 
 from __future__ import annotations

@@ -175,7 +175,7 @@ def test_criterion_7_oracle_equivalence_500_random_trees():
         )
         dm = graphs.distance_matrix(g)
         poly = polynomials.charpoly(dm)
-        kernel = polynomials.level_fold(n)(oracles.levels_from_parents(treegen.preorder_parents(g)))
+        kernel = polynomials.level_fold(n)(treegen.preorder_parents(g))
         for t in (0, 1, 2, 3):
             assert oracles.evaluate(poly.coeffs, t) == oracles.det_at(dm, t)
             assert oracles.evaluate(kernel.coeffs, t) == oracles.det_at(dm, t)

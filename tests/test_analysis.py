@@ -89,11 +89,11 @@ class TestTreeChecks:
     PARENT = (-1, 0, 1, 1, 3, 4)
 
     def report_with(self, k: int, value) -> analysis.TreeReport:
-        seq = oracles.levels_from_parents(self.PARENT)
-        poly = polynomials.level_fold(len(seq))(seq)
+        n = len(self.PARENT)
+        poly = polynomials.level_fold(n)(self.PARENT)
         coeffs = list(poly.coeffs)
         coeffs[k] = value(coeffs[k])
-        tr2, tr3, diam = polynomials.trace_fold(len(seq))(seq)
+        tr2, tr3, diam = polynomials.trace_fold(n)(self.PARENT)
         p3 = analysis.analyze_tree(self.PARENT).p3_count
         altered = polynomials.CharPoly(poly.n, tuple(coeffs))
         checked = analysis._checks(True, diam, p3, altered, tr2, tr3)
@@ -125,9 +125,9 @@ def patch_fold(monkeypatch, name, alter):
     def factory(n):
         fold = real(n)
 
-        def faulty(seq):
-            result = fold(seq)
-            return alter(result, n) if sum(seq) % 2 else result
+        def faulty(parent):
+            result = fold(parent)
+            return alter(result, n) if sum(oracles.levels_from_parents(parent)) % 2 else result
 
         return faulty
 
@@ -204,7 +204,7 @@ class TestLazyReports:
         FAULTS[name](monkeypatch)
         expected = []
         for n in range(3, 9):
-            for tree_id, (_, parent) in enumerate(treegen.tree_stream(n)):
+            for tree_id, parent in enumerate(treegen.tree_stream(n)):
                 report = analysis.analyze_tree(parent)
                 assert report.failed in ((), (name,)), (n, tree_id)
                 if report.failed:
@@ -377,7 +377,7 @@ class TestVerifyRange:
         expected = [
             {**analysis.tree_report_to_json(analysis.analyze_tree(parent)), "id": tree_id}
             for n in range(3, 11)
-            for tree_id, (_, parent) in enumerate(treegen.tree_stream(n))
+            for tree_id, parent in enumerate(treegen.tree_stream(n))
         ]
         monkeypatch.setattr(analysis, "_CHUNK_SIZE", chunk)
         items = []
@@ -404,8 +404,8 @@ class TestVerifyRange:
         def off_by_one(n):
             traces = real(n)
 
-            def wrong(seq):
-                tr2, tr3, diam = traces(seq)
+            def wrong(parent):
+                tr2, tr3, diam = traces(parent)
                 return tr2, tr3 + 1, diam
 
             return wrong

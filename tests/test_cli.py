@@ -193,6 +193,15 @@ class TestEnumerateCommand:
         assert code == 0
         assert out.splitlines() == ["0 1 0 2"]
 
+    def test_order_12_edgelist_stream_pinned(self, capsys):
+        # the default output, one edge list per tree in stream order
+        code, out, _ = run_cli(capsys, "enumerate", "--order", "12")
+        assert code == 0
+        assert len(out.splitlines()) == 551
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "df5422bd62bcec0eec8bc22103b4474d18eaee60304eb0e644595d5dacee0aad"
+        )
+
     def test_bad_order(self, capsys):
         code, _, err = run_cli(capsys, "enumerate", "--order", "0")
         assert code == 2
@@ -289,7 +298,7 @@ class TestVerifyCommand:
         message = "internal error: tree kernel numerator is not 4 times a polynomial"
 
         def broken_fold(n):
-            def fold(seq):
+            def fold(parent):
                 raise RuntimeError(message)
 
             return fold

@@ -37,7 +37,7 @@ def tree_graph(rng, n):
 def fresh(factory, parent):
     """A fresh fold by the fold factory of one tree given as a parent
     array: level_fold gives its polynomial, trace_fold its traces."""
-    return factory(len(parent))(oracles.levels_from_parents(parent))
+    return factory(len(parent))(parent)
 
 
 def extreme_shapes(n):
@@ -169,77 +169,83 @@ class TestTreeCharpoly:
             fresh(polynomials.level_fold, treegen.preorder_parents(oracles.path_graph(n)))
 
 
-# sequences both folds of order 6 must reject, whatever they folded before
-BAD_SEQUENCES_OF_ORDER_6 = [
-    [0, 1, 3, 2, 1, 2],  # a depth jump
-    [0, 1, 2, 0, 1, 1],  # a return to depth 0
-    [0, 1, 1, 1, 1],  # too short
-    [0, 1, 1, 1, 1, 1, 1],  # too long
-    [1, 1, 1, 1, 1, 1],  # no root: the star's suffix at depth 1
-    [5, 1, 1, 1, 1, 1],
+# parent arrays that the folds must reject, whatever they folded before:
+# each is bad for a fold of order 6 and for analyze_tree
+BAD_PARENT_ARRAYS = [
+    (),  # too short, and below order 3
+    (-1,),
+    (-1, 0),
+    (-1, 0, 1, 0, 2),  # too short; 2 is the latest vertex at its depth, but off the root path of 3
+    (-1, 0, 0, 1, 0, 0, 0),  # too long; 3 hangs off 1 after the subtree of 2
+    (0, 0, 1, 2, 3, 4),  # parent[0] is not the root
+    (-1, 0, 1, 2, -1, 0),  # a second root
+    (-1, 0, 1, 3, 0, 0),  # parent[i] == i
+    (-1, 0, 1, 2, 7, 0),  # parent[i] > i
+    (-1, 0, 1, 0, -2, 4),  # parent[i] < -1
+    (-1, 0, 1, 0, 2, 0),  # off the root path, as in the order-5 array above
+    (-1, 0, 0, 1, 0, 0),  # 3 hangs off 1 after the subtree of 2
 ]
 
 
 class FoldContract:
     """What each restartable fold promises, whatever its math: a fold
-    that refolds every sequence from where it first differs from the last
-    one it folded equals a reference that folds every tree afresh, and
-    rejects what is not a level sequence. A subclass names the fold's
-    factory, its reference on parent arrays and a shuffle seed."""
+    that refolds every parent array from where it first differs from the
+    last one it folded equals a reference that folds every tree afresh,
+    and rejects what is not a preorder parent array. A subclass names the
+    fold's factory, its reference on parent arrays and a shuffle seed."""
 
     fold = reference = shuffle_seed = None
-
-    def expected(self, seq):
-        return self.reference(oracles.parents_from_levels(seq))
 
     # each subclass collects these two under names that say its reference
     @pytest.mark.parametrize("n", range(3, 17))
     def stream_fold_matches_reference(self, n):
         fold = self.fold(n)
-        for i, (seq, parent) in enumerate(treegen.tree_stream(n)):
-            assert fold(seq) == self.reference(parent), (n, i)
+        for i, parent in enumerate(treegen.tree_stream(n)):
+            assert fold(parent) == self.reference(parent), (n, i)
 
     def shuffled_stream_with_repeats_matches_reference(self):
         rng = random.Random(self.shuffle_seed)
         for n in range(3, 13):
-            trees = [(seq, self.reference(parent)) for seq, parent in treegen.tree_stream(n)] * 2
+            trees = [(parent, self.reference(parent)) for parent in treegen.tree_stream(n)] * 2
             rng.shuffle(trees)
             fold = self.fold(n)
-            for seq, expected in trees:
-                assert fold(seq) == expected, (n, seq)
+            for parent, expected in trees:
+                assert fold(parent) == expected, (n, parent)
 
     def test_caller_changing_its_list_later_does_not_reach_the_fold(self):
         # the caller reuses one list for the path and then the star
-        (path, _), *_, (star, parent) = treegen.tree_stream(8)
+        path, *_, star = treegen.tree_stream(8)
         fold = self.fold(8)
-        seq = list(path)
-        fold(seq)
-        seq[:] = star
-        assert fold(seq) == self.reference(parent)
+        parent = list(path)
+        fold(parent)
+        parent[:] = star
+        assert fold(parent) == self.reference(star)
 
     def test_fold_that_raises_midway_leaves_the_next_one_right(self):
         fold = self.fold(8)
-        fold([0, 1, 2, 3, 4, 1, 2, 3])
-        with pytest.raises(ValueError):  # a step to depth 0 would close the root
-            fold([0, 1, 2, 3, 4, 1, 1, 0])
-        # first differs from the first sequence at 7, past the state the failed fold overwrote
-        seq = [0, 1, 2, 3, 4, 1, 2, 1]
-        assert fold(seq) == self.expected(seq)
-        with pytest.raises(ValueError):  # a depth jump after the fold's held prefix
-            fold([0, 1, 2, 3, 4, 1, 2, 4])
+        fold((-1, 0, 1, 2, 3, 0, 5, 6))
+        with pytest.raises(ValueError):  # a walk to a second root would close the root
+            fold((-1, 0, 1, 2, 3, 0, 0, -1))
+        # first differs from the first array at 7, past the state the failed fold overwrote
+        parent = (-1, 0, 1, 2, 3, 0, 5, 0)
+        assert fold(parent) == self.reference(parent)
+        with pytest.raises(ValueError):  # parent[i] == i after the fold's held prefix
+            fold((-1, 0, 1, 2, 3, 0, 5, 7))
+        with pytest.raises(ValueError):  # off the root path after the fold's held prefix
+            fold((-1, 0, 1, 2, 3, 0, 5, 3))
         with pytest.raises(ValueError):  # too short, with a prefix the fold holds
-            fold([0, 1, 2, 3, 4, 1, 2])
-        seq = [0, 1, 2, 3, 4, 1, 2, 2]
-        assert fold(seq) == self.expected(seq)
+            fold((-1, 0, 1, 2, 3, 0, 5))
+        parent = (-1, 0, 1, 2, 3, 0, 5, 5)
+        assert fold(parent) == self.reference(parent)
 
-    @pytest.mark.parametrize("seq", BAD_SEQUENCES_OF_ORDER_6)
+    @pytest.mark.parametrize("seq", BAD_PARENT_ARRAYS)
     def test_bad_sequence_rejected_after_any_fold(self, seq):
         fold = self.fold(6)
         with pytest.raises(ValueError):
             fold(seq)
-        for valid, parent in treegen.tree_stream(6):
+        for valid in treegen.tree_stream(6):
             # each valid fold follows a rejected one
-            assert fold(valid) == self.reference(parent)
+            assert fold(valid) == self.reference(valid)
             with pytest.raises(ValueError):
                 fold(seq)
 
@@ -298,32 +304,30 @@ class TestTraceFold(FoldContract):
     def test_fresh_fold_of_extreme_shapes(self, n):
         for g in extreme_shapes(n):
             parent = treegen.preorder_parents(g)
-            seq = oracles.levels_from_parents(parent)
-            assert polynomials.trace_fold(n)(seq) == oracles.packed_traces(parent)
+            assert polynomials.trace_fold(n)(parent) == oracles.packed_traces(parent)
 
     def test_fresh_fold_of_random_prufer_trees_orders_16_to_200(self):
         rng = random.Random(107)
         for n in [*range(16, 61), 80, 100, 150, 200]:
             parent = treegen.preorder_parents(tree_graph(rng, n))
-            seq = oracles.levels_from_parents(parent)
-            assert polynomials.trace_fold(n)(seq) == oracles.packed_traces(parent), n
+            assert polynomials.trace_fold(n)(parent) == oracles.packed_traces(parent), n
 
 
 def test_folds_share_no_state():
     # two folds of each kind and one of each, interleaved over one shuffled
     # order-9 stream each: a restart that read another fold's snapshots or
-    # copy of the last sequence would refold from the wrong state
+    # copy of the last array would refold from the wrong state
     rng = random.Random(109)
     streams = []
     for factory, reference in [(polynomials.level_fold, oracles.tree_charpoly_leaf_to_root),
                                (polynomials.trace_fold, oracles.packed_traces)] * 2:
-        trees = [(seq, reference(parent)) for seq, parent in treegen.tree_stream(9)]
+        trees = [(parent, reference(parent)) for parent in treegen.tree_stream(9)]
         rng.shuffle(trees)
         streams.append((factory(9), trees))
     for step in range(len(streams[0][1])):
         for k, (fold, trees) in enumerate(streams):
-            seq, expected = trees[step]
-            assert fold(seq) == expected, (k, seq)
+            parent, expected = trees[step]
+            assert fold(parent) == expected, (k, parent)
 
 
 class TestTreeTraces:
@@ -357,36 +361,29 @@ class TestTreeTraces:
         g = oracles.path_graph(n)
         assert fresh(polynomials.trace_fold, treegen.preorder_parents(g)) == self.expected(g)
 
-    @pytest.mark.parametrize(
-        "parent",
-        [
-            (),
-            (-1,),
-            (-1, 0),
-            (0, 0, 1),
-            (-1, 1, 0),
-            (-1, 0, 2),
-            (-1, 0, 3),
-            (-1, 0, -1),
-            (-1, 0, 1, 0, 2),  # 2 is the latest vertex at its depth, but off the root path of 3
-        ],
-    )
-    # each id names the fold that must never take the array
+    @pytest.mark.parametrize("parent", BAD_PARENT_ARRAYS)
+    # each id names the fold that must reject the array at its own order
     @pytest.mark.parametrize(
         "fold", ["level_fold", "trace_fold"], ids=["tree_charpoly", "tree_traces"]
     )
-    def test_malformed_parent_rejected(self, monkeypatch, fold, parent):
-        real = getattr(polynomials, fold)
-        folded = []
-
-        def factory(n):
-            closure = real(n)
-            return lambda seq: folded.append(seq) or closure(seq)
-
-        monkeypatch.setattr(polynomials, fold, factory)
+    def test_malformed_parent_rejected(self, fold, parent):
+        # the fold is the check: below order 3 its factory raises, and
+        # otherwise its closure does, directly and through analyze_tree,
+        # and each valid fold of that order after a rejection comes out right
+        n = len(parent)
         with pytest.raises(ValueError):
             analysis.analyze_tree(parent)
-        assert folded == []
+        if n < 3:
+            with pytest.raises(ValueError):
+                getattr(polynomials, fold)(n)
+            return
+        closure = getattr(polynomials, fold)(n)
+        reference = {"level_fold": oracles.tree_charpoly_leaf_to_root,
+                     "trace_fold": oracles.packed_traces}[fold]
+        for valid in treegen.tree_stream(n):
+            with pytest.raises(ValueError):
+                closure(parent)
+            assert closure(valid) == reference(valid)
 
 
 class TestParentBeforeChild:

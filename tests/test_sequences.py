@@ -160,7 +160,7 @@ class TestNewtonCheck:
         for n in range(3, 13):
             fold = polynomials.level_fold(n)
             for tree in treegen.enumerate_trees(n):
-                polys.append(fold(oracles.levels_from_parents(tree.parent)))
+                polys.append(fold(tree.parent))
         for poly in polys:
             assert sequences.newton_check(poly.coeffs) == oracles.newton_binomial(poly.coeffs)
 

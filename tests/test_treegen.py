@@ -55,26 +55,30 @@ class TestStreamProperties:
         """The skips drop exactly the non-canonical rooted sequences, in order."""
         for n in range(1, 15):
             expected = [s for s in oracles.rooted_sequences(n) if oracles.is_canonical_free(s)]
-            assert [seq for seq, _ in treegen.tree_stream(n)] == expected
+            assert list(treegen.tree_stream(n)) == list(map(oracles.parents_from_levels, expected))
 
     @pytest.mark.parametrize("n", range(1, 19))
     def test_stream_matches_rejection_oracle(self, n):
         """The cut jumps only over candidates that plain generate-and-reject
         drops."""
         pairs = itertools.zip_longest(
-            treegen.tree_stream(n), oracles.level_sequences_by_rejection(n)
+            treegen.tree_stream(n),
+            map(oracles.parents_from_levels, oracles.level_sequences_by_rejection(n)),
         )
-        for i, ((got, _), want) in enumerate(pairs):
+        for i, (got, want) in enumerate(pairs):
             assert got == want, f"order {n}, sequence {i}"
 
     @pytest.mark.parametrize("n", range(1, 17))
     def test_parents_rebuilt_from_first_changed_position(self, n):
-        """Each parent array equals the one built from scratch from its level
-        sequence. Each step rewrites the parents in place from the position
-        it lowers on, so a tree's parents are rewritten from the first
-        position where it differs from the tree before, and only there; a
-        step that left a stale parent would differ."""
-        for i, (seq, parent) in enumerate(treegen.tree_stream(n)):
+        """Each parent array equals the one built from scratch from the
+        oracle's level sequence. Each step rewrites the parents in place from
+        the position it lowers on, so a tree's parents are rewritten from the
+        first position where it differs from the tree before, and only there;
+        a step that left a stale parent would differ."""
+        pairs = itertools.zip_longest(
+            treegen.tree_stream(n), oracles.level_sequences_by_rejection(n)
+        )
+        for i, (parent, seq) in enumerate(pairs):
             assert parent == oracles.parents_from_levels(seq), f"order {n}, tree {i}"
 
     def test_rejects_at_most_half_the_trees(self, monkeypatch):
