@@ -44,11 +44,10 @@ from .sequences import (
     ratio_bound_check,
 )
 from .treegen import (
-    CanonicalTree,
-    enumerate_trees,
     preorder_parents,
     to_graph,
     tree_count_recurrence,
+    tree_stream,
 )
 
 __version__ = "0.1.0"

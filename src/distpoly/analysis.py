@@ -2,22 +2,21 @@
 
 analyze_tree runs the full pipeline (characteristic polynomial, trace
 identities, coefficient sequences, predicates, bounds) on a tree given
-as a preorder parent array, with the two tree folds and no distance
-matrix. analyze_graph relabels a tree into a preorder
-(treegen.preorder_parents, the one relabeler) for analyze_tree, and
-gives every other graph BFS distances and Berkowitz. Both then run each
-check once (_checks) and build the TreeReport from what the checks
-computed (_report). A tree takes one way in, _tree_step, which folds
-the polynomial and the traces from its parent array
-(polynomials.level_fold and trace_fold, which also check the array)
-and runs the checks: once for analyze_tree, and on every free tree of
-orders 3..n_max for verify_range, which counts the trees per (peak,
-bounds) pair. Those
-counts are the whole aggregate, merged by Counter addition, so its
-content is independent of the worker count; aggregate_report_to_json
-derives every number it writes from them. The sweep builds a report only
-for a tree that fails a check, or for every tree when per-tree reports
-are asked for.
+as a preorder parent array, the form treegen.tree_stream yields, with
+the two tree folds and no distance matrix. analyze_graph relabels a tree
+into a preorder (treegen.preorder_parents, the one relabeler) for
+analyze_tree, and gives every other graph BFS distances and Berkowitz.
+Both then run each check once (_checks) and build the TreeReport from
+what the checks computed (_report). A tree takes one way in, _tree_step,
+which folds the polynomial and the traces from its parent array
+(polynomials.level_fold and trace_fold, which also check the array) and
+runs the checks: once for analyze_tree, and on every free tree of orders
+3..n_max for verify_range, which counts the trees per (peak, bounds)
+pair. Those counts are the whole aggregate, merged by Counter addition,
+so its content is independent of the worker count;
+aggregate_report_to_json derives every number it writes from them. The
+sweep builds a report only for a tree that fails a check, or for every
+tree when per-tree reports are asked for.
 
 JSON conventions: coefficient-sized integers are serialized as decimal
 strings because they outgrow 64-bit range quickly; dyadic rationals are
@@ -93,7 +92,8 @@ def analyze_tree(parent) -> TreeReport:
     treegen.tree_stream yields: parent[0] == -1 and each other parent[i]
     on the root path of i - 1. No Graph or distance matrix is built.
     The folds raise ValueError on any other array or an order below 3;
-    treegen.preorder_parents relabels a tree Graph into the form.
+    treegen.preorder_parents relabels a tree Graph into the form, and
+    treegen.to_graph builds the Graph of one.
     """
     return _report(*_tree_step(len(parent))(parent))
 

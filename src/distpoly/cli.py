@@ -65,12 +65,12 @@ def _cmd_enumerate(args) -> int:
     if args.count_only:
         print(treegen.tree_count_recurrence(args.order))
         return 0
-    for tree in treegen.enumerate_trees(args.order):
-        if args.emit == "parents":
-            print(" ".join(map(str, tree.parent)))
-        else:
-            g = treegen.to_graph(tree)
-            print(" ".join(f"{u} {v}" for u, v in g.edges()))
+    trees = treegen.tree_stream(args.order)
+    if args.emit == "parents":
+        lines = (" ".join(map(str, parent)) + "\n" for parent in trees)
+    else:  # sorted (parent[i], i) pairs, Graph.edges() order; the root's (-1, 0) sorts first
+        lines = (" ".join(f"{p} {i}" for p, i in sorted(zip(t, range(len(t))))[1:]) + "\n" for t in trees)
+    sys.stdout.writelines(lines)
     return 0
 
 

@@ -16,11 +16,12 @@ rest is at most n - 1 - k high: lower for k > n - top, and for k = n - top
 at most as high and smaller unless 2 * top = n. So no subtree longer than
 cap = n - 1 - top (top if 2 * top = n) passes.
 
-tree_stream, the one generator, steps one level list and one parent
-list in place; enumerate_trees maps CanonicalTree over its parent
-arrays. Each pass over a candidate takes one of three branches, and
-each branch picks a position p for _lower_at to lower, keeping every
-position before p and rewriting levels and parents from p on in one pass:
+tree_stream, the one generator and public tree stream, steps one level
+list and one parent list in place; enumerate_trees and CanonicalTree
+wrap it for perfbench/ alone. Each pass over a candidate takes one of
+three branches, and each branch picks a position p for _lower_at to
+lower, keeping every position before p and rewriting levels and parents
+from p on in one pass:
 - the cut: a first root subtree longer than cap is cut back to its first
   cap vertices, followed by the root's second child;
 - the skip: any other rejected subtree is skipped whole at its last
@@ -50,7 +51,7 @@ ROOT = -1  # parent-array sentinel marking the root
 
 
 class CanonicalTree(NamedTuple):
-    """Free tree in canonical rooted form; two are equal iff isomorphic."""
+    """Free tree in canonical rooted form (equal iff isomorphic); perfbench/ only."""
 
     n: int
     parent: tuple[int, ...]  # a preorder: parent[0] == ROOT, parent[i] on the root path of i - 1
@@ -72,11 +73,11 @@ def _lower_at(seq: list[int], parent: list[int], p: int, q: int | None = None) -
 
 
 def tree_stream(n: int) -> Iterator[tuple[int, ...]]:
-    """The preorder parent array of each tree, as a tuple.
+    """The preorder parent array of each free tree on n vertices, as a tuple.
 
-    The trees and their order are those of enumerate_trees. One level list
-    and one parent list are stepped in place; each tree is yielded as a
-    tuple of the parent list.
+    Every isomorphism class once, in decreasing lexicographic order of the
+    canonical level sequences; ValueError on the first next if n < 1. One
+    level list and one parent list are stepped in place.
     """
     if n < 1:
         raise ValueError("tree order must be at least 1")
@@ -113,18 +114,18 @@ def tree_stream(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def enumerate_trees(n: int) -> Iterator[CanonicalTree]:
-    """Every isomorphism class of free trees on n vertices, once each.
+    """tree_stream(n)'s trees, in its order, as CanonicalTree records.
 
-    A map of CanonicalTree over tree_stream's parent arrays, in its order
-    (canonical level sequences in decreasing lexicographic order), with no
-    generator frame of its own; ValueError on the first next if n < 1.
+    The interface of the benchmark in perfbench/, its only reader: a map
+    of CanonicalTree over tree_stream's parent arrays, with no generator
+    frame of its own; ValueError on the first next if n < 1.
     """
     return map(CanonicalTree, repeat(n), tree_stream(n))
 
 
-def to_graph(tree: CanonicalTree) -> Graph:
-    """Graph with edges {i, parent[i]} for every non-root vertex."""
-    return graph_from_edges(tree.n, ((tree.parent[i], i) for i in range(1, tree.n)))
+def to_graph(parent: tuple[int, ...]) -> Graph:
+    """Graph with edges {parent[i], i}; preorder_parents maps it back, up to sibling order."""
+    return graph_from_edges(len(parent), zip(parent[1:], range(1, len(parent))))
 
 
 def preorder_parents(g: Graph) -> tuple[int, ...]:

@@ -105,8 +105,7 @@ def test_criterion_3_desk_scale_sweep():
             census = oracles.prufer_form_census_parallel(n, JOBS)
         assert sum(census.values()) == n ** (n - 2)
         generated = {
-            oracles.ahu_form(treegen.to_graph(tree).adj)
-            for tree in treegen.enumerate_trees(n)
+            oracles.ahu_form(treegen.to_graph(parent).adj) for parent in treegen.tree_stream(n)
         }
         assert len(generated) == report.orders[n].total()
         assert generated == set(census)
@@ -189,8 +188,8 @@ def test_criterion_7_oracle_equivalence_500_random_trees():
 
 def test_criterion_8_scaled_polynomial_through_order_10():
     for n in range(3, 11):
-        for tree in treegen.enumerate_trees(n):
-            dm = graphs.distance_matrix(treegen.to_graph(tree))
+        for parent in treegen.tree_stream(n):
+            dm = graphs.distance_matrix(treegen.to_graph(parent))
             coeffs = oracles.scaled_poly(dm)
             d = polynomials.normalized_seq(polynomials.delta_seq(polynomials.charpoly(dm)))
             assert coeffs[n] == -4

@@ -69,13 +69,13 @@ class TestAnalyzeTree:
         # must not depend on the labels it was given
         rng = random.Random(83)
         for n in range(3, 11):
-            for tree in treegen.enumerate_trees(n):
+            for parent in treegen.tree_stream(n):
                 labels = list(range(n))
                 rng.shuffle(labels)
                 g = graphs.graph_from_edges(
-                    n, [(labels[tree.parent[i]], labels[i]) for i in range(1, n)]
+                    n, [(labels[parent[i]], labels[i]) for i in range(1, n)]
                 )
-                assert analysis.analyze_graph(g) == analysis.analyze_tree(tree.parent)
+                assert analysis.analyze_graph(g) == analysis.analyze_tree(parent)
 
     def test_p3_count_and_diameter(self):
         report = analysis.analyze_tree((-1, 0, 1, 1))  # the star on 4 vertices, centre 1

@@ -64,6 +64,14 @@ class TestCharpolyCommand:
         assert out == ""
         assert "one graph per file" in err
 
+    def test_graph6_file_of_blank_lines_rejected(self, capsys, tmp_path):
+        path = tmp_path / "blank.g6"
+        path.write_text("\n  \n")
+        code, out, err = run_cli(capsys, "charpoly", "--input", str(path), "--format", "graph6")
+        assert code == 2
+        assert out == ""
+        assert err == "error: no graph6 data in input file\n"
+
     def test_too_small(self, capsys, tmp_path):
         path = tmp_path / "k2.edges"
         path.write_text("0 1\n")
@@ -167,7 +175,7 @@ class TestEnumerateCommand:
     def test_count_only_matches_stream(self, capsys, n):
         code, out, _ = run_cli(capsys, "enumerate", "--order", str(n), "--count-only")
         assert code == 0
-        assert out == f"{sum(1 for _ in treegen.enumerate_trees(n))}\n"
+        assert out == f"{sum(1 for _ in treegen.tree_stream(n))}\n"
 
     @pytest.mark.parametrize("emit", ["edgelist", "parents"])
     def test_count_only_rejects_emit(self, capsys, emit):

@@ -4,7 +4,7 @@ import pytest
 
 import oracles
 from distpoly import graphs
-from distpoly.treegen import enumerate_trees, to_graph
+from distpoly.treegen import to_graph, tree_stream
 
 
 class TestFromEdgeList:
@@ -38,6 +38,8 @@ class TestFromEdgeList:
     def test_header_too_small(self):
         with pytest.raises(graphs.GraphStructureError, match="out of range"):
             graphs.from_edge_list("n=2\n0 3")
+        with pytest.raises(graphs.GraphParseError, match="at least 1"):
+            graphs.from_edge_list("n=0")
 
     def test_repeated_header(self):
         with pytest.raises(graphs.GraphParseError, match="repeated"):
@@ -50,6 +52,8 @@ class TestFromEdgeList:
             graphs.from_edge_list("a b")
         with pytest.raises(graphs.GraphParseError):
             graphs.from_edge_list("0 -1")
+        with pytest.raises(graphs.GraphParseError, match="bad vertex count"):
+            graphs.from_edge_list("n=three\n0 1")
 
     def test_empty_input(self):
         with pytest.raises(graphs.GraphParseError, match="empty"):
@@ -118,6 +122,9 @@ class TestGraph6:
         g = graphs.from_graph6(oracles.graph6_encode(adj))
         assert g.n == 70
         assert len(g.edges()) == 69
+        # the 6-byte field of orders past 258047 is not supported
+        with pytest.raises(graphs.GraphParseError, match="supported range"):
+            graphs.from_graph6("~~?????")
 
 
 class TestHeawood:
@@ -180,8 +187,7 @@ class TestDistanceMatrix:
                         assert dm[i][k] <= dm[i][j] + dm[j][k]
 
     def test_tree_rows_count_degree_as_ones(self):
-        for tree in enumerate_trees(8):
-            g = to_graph(tree)
+        for g in map(to_graph, tree_stream(8)):
             dm = graphs.distance_matrix(g)
             for v in range(g.n):
                 assert dm[v].count(1) == len(g.adj[v])

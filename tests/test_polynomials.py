@@ -112,10 +112,10 @@ class TestTreeCharpoly:
 
     def test_all_trees_through_order_14(self):
         for n in range(3, 15):
-            for tree in treegen.enumerate_trees(n):
-                g = treegen.to_graph(tree)
+            for parent in treegen.tree_stream(n):
+                g = treegen.to_graph(parent)
                 expected = polynomials.charpoly(graphs.distance_matrix(g))
-                assert fresh(polynomials.level_fold, tree.parent) == expected
+                assert fresh(polynomials.level_fold, parent) == expected
 
     def test_random_prufer_trees_orders_18_to_24(self):
         rng = random.Random(61)
@@ -268,9 +268,9 @@ class TestLevelFold(FoldContract):
 
     def test_leaf_to_root_reference_matches_berkowitz(self):
         for n in range(3, 11):
-            for tree in treegen.enumerate_trees(n):
-                expected = polynomials.charpoly(graphs.distance_matrix(treegen.to_graph(tree)))
-                assert oracles.tree_charpoly_leaf_to_root(tree.parent) == expected
+            for parent in treegen.tree_stream(n):
+                expected = polynomials.charpoly(graphs.distance_matrix(treegen.to_graph(parent)))
+                assert oracles.tree_charpoly_leaf_to_root(parent) == expected
 
 
 class TestTraceFold(FoldContract):
@@ -287,9 +287,9 @@ class TestTraceFold(FoldContract):
 
     def test_packed_reference_matches_trace_power(self):
         for n in range(3, 11):
-            for tree in treegen.enumerate_trees(n):
-                g = treegen.to_graph(tree)
-                assert oracles.packed_traces(tree.parent) == TestTreeTraces.expected(g)
+            for parent in treegen.tree_stream(n):
+                g = treegen.to_graph(parent)
+                assert oracles.packed_traces(parent) == TestTreeTraces.expected(g)
 
     @pytest.mark.parametrize("n", [150, 200, 300])
     def test_path_pins_the_packed_digit_width(self, n):
@@ -341,9 +341,9 @@ class TestTreeTraces:
 
     def test_all_trees_through_order_14(self):
         for n in range(3, 15):
-            for tree in treegen.enumerate_trees(n):
-                g = treegen.to_graph(tree)
-                assert fresh(polynomials.trace_fold, tree.parent) == self.expected(g)
+            for parent in treegen.tree_stream(n):
+                g = treegen.to_graph(parent)
+                assert fresh(polynomials.trace_fold, parent) == self.expected(g)
 
     def test_random_prufer_trees_orders_18_to_200(self):
         rng = random.Random(71)
@@ -399,11 +399,11 @@ class TestParentBeforeChild:
             rng = random.Random(seed)
             rejected = trees = 0
             for n in range(3, 13):
-                for tree in treegen.enumerate_trees(n):
+                for tree in treegen.tree_stream(n):
                     trees += 1
-                    parent = oracles.random_bfs_parents(rng, tree.parent)
+                    parent = oracles.random_bfs_parents(rng, tree)
                     g = graphs.graph_from_edges(n, [(parent[i], i) for i in range(1, n)])
-                    assert analysis.analyze_graph(g) == analysis.analyze_tree(tree.parent)
+                    assert analysis.analyze_graph(g) == analysis.analyze_tree(tree)
                     relabeled = treegen.preorder_parents(g)
                     assert fresh(polynomials.level_fold, relabeled) == polynomials.charpoly(
                         graphs.distance_matrix(g)
@@ -469,8 +469,8 @@ class TestOracleCertification:
     def test_all_trees_through_order_10(self):
         """Agreement at n+1 points pins the degree-n polynomial exactly."""
         for n in range(3, 11):
-            for tree in treegen.enumerate_trees(n):
-                dm = graphs.distance_matrix(treegen.to_graph(tree))
+            for parent in treegen.tree_stream(n):
+                dm = graphs.distance_matrix(treegen.to_graph(parent))
                 p = polynomials.charpoly(dm)
                 for t in range(n + 1):
                     assert oracles.evaluate(p.coeffs, t) == oracles.det_at(dm, t)
@@ -533,8 +533,8 @@ class TestNormalizedSeq:
 
     def test_trees_give_ints(self):
         for n in range(3, 11):
-            for tree in treegen.enumerate_trees(n):
-                ds = polynomials.delta_seq(fresh(polynomials.level_fold, tree.parent))
+            for parent in treegen.tree_stream(n):
+                ds = polynomials.delta_seq(fresh(polynomials.level_fold, parent))
                 assert all(type(x) is int for x in polynomials.normalized_seq(ds))
 
     def test_fraction_only_where_not_integral(self):
@@ -556,8 +556,8 @@ class TestNormalizedSeq:
 class TestTreeIdentities:
     def test_divisibility_exhaustive(self):
         for n in range(3, 10):
-            for tree in treegen.enumerate_trees(n):
-                dm = graphs.distance_matrix(treegen.to_graph(tree))
+            for parent in treegen.tree_stream(n):
+                dm = graphs.distance_matrix(treegen.to_graph(parent))
                 delta = polynomials.delta_seq(polynomials.charpoly(dm))
                 for k in range(n - 1):
                     assert delta[k] % (1 << (n - k - 2)) == 0
@@ -580,8 +580,8 @@ class TestTreeIdentities:
     def test_scaling_preserves_log_concavity(self):
         # the d-sequence is log-concave exactly when the |delta| tail is
         cases = []
-        for tree in treegen.enumerate_trees(9):
-            cases.append(graphs.distance_matrix(treegen.to_graph(tree)))
+        for parent in treegen.tree_stream(9):
+            cases.append(graphs.distance_matrix(treegen.to_graph(parent)))
         cases.append(graphs.distance_matrix(graphs.heawood()))
         for dm in cases:
             ds = polynomials.delta_seq(polynomials.charpoly(dm))
@@ -607,8 +607,8 @@ class TestScaledPoly:
 
     def test_structure_on_all_trees_through_8(self):
         for n in range(3, 9):
-            for tree in treegen.enumerate_trees(n):
-                dm = graphs.distance_matrix(treegen.to_graph(tree))
+            for parent in treegen.tree_stream(n):
+                dm = graphs.distance_matrix(treegen.to_graph(parent))
                 coeffs = oracles.scaled_poly(dm)
                 d = polynomials.normalized_seq(polynomials.delta_seq(polynomials.charpoly(dm)))
                 assert coeffs[n] == -4

@@ -132,8 +132,8 @@ class TestNewtonCheck:
 
     def test_tree_polynomials_hold(self):
         for n in range(3, 10):
-            for tree in treegen.enumerate_trees(n):
-                dm = graphs.distance_matrix(treegen.to_graph(tree))
+            for parent in treegen.tree_stream(n):
+                dm = graphs.distance_matrix(treegen.to_graph(parent))
                 coeffs = polynomials.charpoly(dm).coeffs
                 assert sequences.newton_check(coeffs)
                 # the weighted inequality implies plain log-concavity
@@ -159,8 +159,7 @@ class TestNewtonCheck:
         polys = [polynomials.charpoly(graphs.distance_matrix(graphs.heawood()))]
         for n in range(3, 13):
             fold = polynomials.level_fold(n)
-            for tree in treegen.enumerate_trees(n):
-                polys.append(fold(tree.parent))
+            polys.extend(map(fold, treegen.tree_stream(n)))
         for poly in polys:
             assert sequences.newton_check(poly.coeffs) == oracles.newton_binomial(poly.coeffs)
 
@@ -254,6 +253,10 @@ class TestRatioBound:
         assert d == (2, 6)
         assert sequences.ratio_bound_check(d, 2)
 
+    def test_order_below_3_rejected(self):
+        with pytest.raises(ValueError, match="at least 3"):
+            sequences.ratio_bound_check((2,), 1)
+
     def test_star4_via_pipeline(self):
         g = oracles.star_graph(4)
         d = tree_d_sequence(g)
@@ -261,8 +264,8 @@ class TestRatioBound:
 
     def test_all_trees_through_10(self):
         for n in range(3, 11):
-            for tree in treegen.enumerate_trees(n):
-                g = treegen.to_graph(tree)
+            for parent in treegen.tree_stream(n):
+                g = treegen.to_graph(parent)
                 d = tree_d_sequence(g)
                 assert len(d) == n - 1
                 assert sequences.ratio_bound_check(d, max(map(max, graphs.distance_matrix(g))))
