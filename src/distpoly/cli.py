@@ -69,7 +69,8 @@ def _cmd_enumerate(args) -> int:
     if args.emit == "parents":
         lines = (" ".join(map(str, parent)) + "\n" for parent in trees)
     else:  # sorted (parent[i], i) pairs, Graph.edges() order; the root's (-1, 0) sorts first
-        lines = (" ".join(f"{p} {i}" for p, i in sorted(zip(t, range(len(t))))[1:]) + "\n" for t in trees)
+        edges = (sorted(zip(parent, range(args.order)))[1:] for parent in trees)
+        lines = (" ".join(f"{p} {i}" for p, i in pairs) + "\n" for pairs in edges)
     sys.stdout.writelines(lines)
     return 0
 

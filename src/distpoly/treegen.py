@@ -17,11 +17,10 @@ at most as high and smaller unless 2 * top = n. So no subtree longer than
 cap = n - 1 - top (top if 2 * top = n) passes.
 
 tree_stream, the one generator and public tree stream, steps one level
-list and one parent list in place; enumerate_trees and CanonicalTree
-wrap it for perfbench/ alone. Each pass over a candidate takes one of
-three branches, and each branch picks a position p for _lower_at to
-lower, keeping every position before p and rewriting levels and parents
-from p on in one pass:
+list and one parent list in place; enumerate_trees and CanonicalTree wrap
+it for perfbench/ alone. Each pass over a candidate takes one of three
+branches, each picking a position p for _lower_at to lower, keeping every
+position before p and rewriting levels and parents from p on in one pass:
 - the cut: a first root subtree longer than cap is cut back to its first
   cap vertices, followed by the root's second child;
 - the skip: any other rejected subtree is skipped whole at its last
