@@ -8,15 +8,17 @@ into a preorder (treegen.preorder_parents, the one relabeler) for
 analyze_tree, and gives every other graph BFS distances and Berkowitz.
 Both then run each check once (_checks) and build the TreeReport from
 what the checks computed (_report). A tree takes one way in, _tree_step,
-which folds the polynomial and the traces from its parent array
-(polynomials.level_fold and trace_fold, which also check the array) and
-runs the checks: once for analyze_tree, and on every free tree of orders
-3..n_max for verify_range, which counts the trees per (peak, bounds)
-pair. Those counts are the whole aggregate, merged by Counter addition,
-so its content is independent of the worker count;
-aggregate_report_to_json derives every number it writes from them. The
-sweep builds a report only for a tree that fails a check, or for every
-tree when per-tree reports are asked for.
+which runs stage by stage over a batch of parent arrays: it folds every
+polynomial, then every trace triple (polynomials.level_fold and
+trace_fold, which also check the arrays), then counts the 2-paths, and
+last runs the checks on each tree. analyze_tree passes a batch of one
+tree; verify_range passes each chunk of the stream of every free tree of
+orders 3..n_max, and counts the trees per (peak, bounds) pair. Those
+counts are the whole aggregate, merged by Counter addition, so its
+content is independent of the worker count; aggregate_report_to_json
+derives every number it writes from them. The sweep builds a report
+only for a tree that fails a check, or for every tree when per-tree
+reports are asked for.
 
 JSON conventions: coefficient-sized integers are serialized as decimal
 strings because they outgrow 64-bit range quickly; dyadic rationals are
@@ -95,7 +97,7 @@ def analyze_tree(parent) -> TreeReport:
     treegen.preorder_parents relabels a tree Graph into the form, and
     treegen.to_graph builds the Graph of one.
     """
-    return _report(*_tree_step(len(parent))(parent))
+    return _report(*_tree_step(len(parent))([parent])[0])
 
 
 def analyze_graph(g: graphs.Graph) -> TreeReport:
@@ -124,24 +126,32 @@ def analyze_graph(g: graphs.Graph) -> TreeReport:
 
 
 def _tree_step(n: int):
-    """step(parent) -> the arguments of _report, for the order-n tree with
-    preorder parent array parent. A step folds the polynomial and the
-    traces (each fold checks the array and restarts from the tree before),
-    counts the 2-paths, sum C(deg v, 2), and runs _checks once."""
+    """steps(parents) -> the arguments of _report for each order-n tree of
+    the batch parents of preorder parent arrays, in order. The steps run
+    stage by stage over the batch: they fold every polynomial, then every
+    trace triple (each fold checks the array and restarts from the tree
+    before), then count every tree's 2-paths, sum C(deg v, 2), and last
+    run _checks once per tree."""
     fold = polynomials.level_fold(n)
     traces = polynomials.trace_fold(n)
 
-    def step(parent):
-        poly = fold(parent)
-        tr2, tr3, diam = traces(parent)
-        degree = [1] * n
-        degree[0] = 0
-        for p in parent[1:]:
-            degree[p] += 1
-        p3 = (sum(map(mul, degree, degree)) >> 1) - n + 1  # the degrees sum to 2(n - 1)
-        return diam, p3, poly, _checks(True, diam, p3, poly, tr2, tr3)
+    def steps(parents):
+        polys = list(map(fold, parents))
+        traced = list(map(traces, parents))
+        p3s = []
+        for parent in parents:
+            degree = [1] * n
+            degree[0] = 0
+            for p in parent[1:]:
+                degree[p] += 1
+            # the degrees sum to 2(n - 1)
+            p3s.append((sum(map(mul, degree, degree)) >> 1) - n + 1)
+        return [
+            (diam, p3, poly, _checks(True, diam, p3, poly, tr2, tr3))
+            for poly, (tr2, tr3, diam), p3 in zip(polys, traced, p3s)
+        ]
 
-    return step
+    return steps
 
 
 def _checks(tree: bool, diam: int, p3: int, poly: polynomials.CharPoly, tr2: int, tr3: int):
@@ -261,6 +271,11 @@ def aggregate_report_to_json(report: AggregateReport) -> dict:
 # --------------------------------------------------------------------------
 # exhaustive sweep
 
+# Two roles: a worker's unit of work (worker rank takes every jobs-th chunk
+# of the stream), and the batch each stage of _tree_step runs over. Stage by
+# stage over 256-tree chunks took 24 us per tree against 28.5 us for all
+# stages per tree in turn on all of order 11, and 40 against 45.5 us on the
+# first 4,096 trees of order 20 (best of 200 and 15; Python 3.11, 2 vCPUs).
 _CHUNK_SIZE = 256
 
 
@@ -268,18 +283,19 @@ def _sweep(n: int, want_per_tree: bool, rank: int = 0, jobs: int = 1):
     """Tree counts per (peak, bounds) pair and the report items of the
     trees that fail a check (of every tree, if asked) of chunks rank,
     rank + jobs, rank + 2*jobs, ... of the order-n tree stream."""
-    step = _tree_step(n)
-    trees = enumerate(treegen.tree_stream(n))
+    steps = _tree_step(n)
+    trees = treegen.tree_stream(n)
     chunks = iter(lambda: list(islice(trees, _CHUNK_SIZE)), [])
-    for chunk in islice(chunks, rank, None, jobs):
+    for index, chunk in islice(enumerate(chunks), rank, None, jobs):
         shapes: Counter = Counter()
         items: list[dict] = []
-        for tree_id, parent in chunk:
-            stepped = step(parent)
+        for tree_id, stepped in enumerate(steps(chunk), index * _CHUNK_SIZE):
             _, _, peak, bounds, outcomes = stepped[3]
             shapes[peak, bounds] += 1
             if want_per_tree or False in outcomes:
-                items.append({**tree_report_to_json(_report(*stepped)), "id": tree_id})
+                item = tree_report_to_json(_report(*stepped))
+                item["id"] = tree_id  # keeps the key's place, so the JSON line is unchanged
+                items.append(item)
         yield shapes, items
 
 

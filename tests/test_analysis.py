@@ -83,6 +83,26 @@ class TestAnalyzeTree:
         assert report.diameter == 2
 
 
+class TestTreeStep:
+    """_tree_step runs each stage over the whole batch before the next one;
+    every tree's results must come back in its place, as a fresh step gives."""
+
+    @pytest.mark.parametrize("batch", [1, 7])
+    @pytest.mark.parametrize("shuffled", [False, True])
+    @pytest.mark.parametrize("n", range(3, 12))
+    def test_batches_equal_trees_stepped_one_at_a_time(self, n, shuffled, batch):
+        trees = list(treegen.tree_stream(n))
+        if shuffled:
+            random.Random(n).shuffle(trees)
+        steps = analysis._tree_step(n)
+        stepped = [
+            result
+            for start in range(0, len(trees), batch)
+            for result in steps(trees[start : start + batch])
+        ]
+        assert stepped == [analysis._tree_step(n)([parent])[0] for parent in trees]
+
+
 class TestTreeChecks:
     """_checks and _report on a tree's polynomial with one coefficient altered."""
 
